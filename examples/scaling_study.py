@@ -9,22 +9,24 @@ Run: ``python examples/scaling_study.py``
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.common import run_benchmark
+from repro.runner import RunSpec, run_spec
 
 APPS = ("raytr", "ocean", "qsort")
 CORES = (2, 4, 8, 16)
 SCALE = 0.25
 
 
+def makespan(name, kind, n_cores):
+    spec = RunSpec.benchmark(name, kind, n_cores=n_cores, scale=SCALE)
+    return run_spec(spec).makespan
+
+
 def main():
     rows = []
     for name in APPS:
-        base = run_benchmark(name, "mcs", n_cores=1, scale=SCALE).makespan
+        base = makespan(name, "mcs", 1)
         for kind, label in (("mcs", "MCS"), ("glock", "GL")):
-            speedups = [
-                base / run_benchmark(name, kind, n_cores=n, scale=SCALE).makespan
-                for n in CORES
-            ]
+            speedups = [base / makespan(name, kind, n) for n in CORES]
             rows.append([name.upper(), label] + [f"{s:.2f}" for s in speedups])
     print(format_table(
         ["Benchmark", "Locks"] + [f"{n} cores" for n in CORES], rows,

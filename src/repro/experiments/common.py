@@ -4,50 +4,20 @@ The heavy lifting now lives in :mod:`repro.runner`: harnesses describe
 runs as :class:`~repro.runner.RunSpec` batches and submit them to the
 active engine, which parallelizes across a process pool and caches
 results in-process and (optionally) on disk.
-
-:func:`run_benchmark` survives as a thin compatibility shim with the
-classic signature — it builds the equivalent spec and submits it, so old
-call sites transparently share the engine's caches.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.runner import BenchmarkRun, RunSpec, active_engine, run_specs
 from repro.workloads.registry import APPLICATIONS, MICROBENCHMARKS
 
 __all__ = [
-    "BenchmarkRun", "run_benchmark", "clear_cache",
-    "group_means", "geometric_means", "paper_averages",
-    "grouped_runs", "skipped_note",
-    "MICROBENCHMARKS", "APPLICATIONS",
+    "BenchmarkRun", "clear_cache", "group_means", "paper_averages",
+    "grouped_runs", "skipped_note", "MICROBENCHMARKS", "APPLICATIONS",
 ]
-
-
-def run_benchmark(name: str, hc_kind: str = "mcs", *, n_cores: int = 32,
-                  scale: float = 1.0, other_kind: str = "tatas",
-                  hc_kinds: Optional[Sequence[str]] = None) -> BenchmarkRun:
-    """Run one benchmark once (engine-cached) and return its metrics.
-
-    Compatibility shim over ``active_engine().run_spec(...)``.  New code
-    should build :class:`~repro.runner.RunSpec` batches and submit them
-    with :func:`repro.runner.run_specs`, which lets the engine run them
-    in parallel.
-
-    Args:
-        name: a workload name (``sctr`` .. ``qsort``).
-        hc_kind: lock kind for every highly-contended lock.
-        n_cores: CMP size (Table II baseline otherwise).
-        scale: input-size scale factor (1.0 = the paper's Table III inputs).
-        other_kind: lock kind for non-contended locks (paper: TATAS).
-        hc_kinds: per-HC-lock kinds, overriding ``hc_kind`` (Figure 1).
-    """
-    spec = RunSpec.benchmark(name, hc_kind, n_cores=n_cores, scale=scale,
-                             other_kind=other_kind, hc_kinds=hc_kinds)
-    return active_engine().run_spec(spec)
 
 
 def clear_cache() -> None:
@@ -115,17 +85,6 @@ def group_means(ratios: Mapping[str, float],
         vals = [ratios[n] for n in names if n in ratios]
         out[label] = sum(vals) / len(vals) if vals else float("nan")
     return out
-
-
-def geometric_means(ratios: Mapping[str, float],
-                    groups: Mapping[str, Sequence[str]]) -> Dict[str, float]:
-    """Deprecated alias of :func:`group_means`.
-
-    Historically misnamed: it always computed *arithmetic* means.
-    """
-    warnings.warn("geometric_means computes arithmetic means and was "
-                  "renamed to group_means", DeprecationWarning, stacklevel=2)
-    return group_means(ratios, groups)
 
 
 def paper_averages(ratios: Mapping[str, float]) -> Dict[str, float]:

@@ -8,9 +8,9 @@ The three pieces (see ``docs/running-experiments.md``):
   in-process memo and a persistent content-addressed result cache
   (``repro.runner.engine`` / ``repro.runner.cache``);
 - the **active engine** — a process-wide engine that the experiment
-  harnesses and the ``run_benchmark`` compatibility shim submit to, so
-  the CLI can swap in a parallel/caching engine (``--jobs``,
-  ``--cache-dir``) without threading it through 13 call sites.
+  harnesses submit to, so the CLI can swap in a parallel/caching engine
+  (``--jobs``, ``--cache-dir``) without threading it through 13 call
+  sites.
 
 Typical use::
 
@@ -69,8 +69,8 @@ def active_engine() -> Engine:
 
     The installed engine if :func:`set_active_engine`/:func:`use_engine`
     is in effect, else a lazily-created process-wide default (serial, no
-    disk cache) that reproduces the classic ``run_benchmark`` memo
-    semantics.
+    disk cache) whose memo returns the identical run for a repeated
+    spec.
     """
     global _default
     if _active is not None:

@@ -6,57 +6,63 @@ the remaining specs execute:
 
 - :class:`InlineBackend` — in this process, one spec at a time (the
   classic ``jobs=1`` path);
-- :class:`ProcessPoolBackend` — fanned over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with per-run
-  deadlines, retry resubmission and broken-pool recovery (the classic
-  ``jobs>1`` path, moved here verbatim from ``Engine._execute_parallel``);
+- :class:`ProcessPoolBackend` — the runner's one pool loop, fanned over
+  a :class:`~concurrent.futures.ProcessPoolExecutor` with per-run
+  deadlines and the :class:`PoolPolicy` for worker deaths (the classic
+  ``jobs>1`` path, and every supervised campaign);
 - :class:`~repro.runner.remote.RemoteBackend` — socket-protocol workers
   started with ``repro-sim worker``, sharing the digest-keyed result
   cache (lives in :mod:`repro.runner.remote`).
 
-Every backend lands results through the same hooks, so caching, the
-campaign supervisor's outcome taxonomy, retries and manifests behave
-identically whichever backend executes:
+Every backend reports to one :class:`RetryLedger`, created once per
+batch, so caching, retries, the campaign supervisor's outcome taxonomy
+and manifests behave identically whichever backend executes:
 
-``execute(todo, engine, *, land=None, fail=None, tick=None)``
+``execute(ledger, *, tick=None)``
 
-- ``land(digest, run)`` — a result arrived; the default commits it to
-  the engine's memo/disk cache.  Backends call it the moment a result
-  lands (never batched at the end), so an abort later in the batch can
-  never discard finished, cacheable work.
-- ``fail(digest, exc)`` — a spec exhausted its retry budget; the
-  default raises :class:`~repro.runner.engine.RunFailure` (the engine's
-  classic fail-fast contract).  A collect-mode caller records an
-  outcome instead and the batch keeps going.
+- ``ledger.land(digest, run)`` — a result arrived.  Backends report it
+  the moment it lands (never batched at the end), so an abort later in
+  the batch can never discard finished, cacheable work.
+- ``ledger.charge(digest, exc)`` — an attempt failed; the ledger
+  requeues the spec while ``engine.retries`` lasts.
+- ``ledger.kill(digest, exc)`` — the spec's worker died while it ran
+  alone in the pool.
 - ``tick()`` — polled between scheduling steps so a supervising caller
   can checkpoint and raise on SIGINT/SIGTERM.
 
-This module also hosts the process-pool plumbing (:func:`new_pool`,
-:func:`kill_workers`, :func:`drain_finished`) shared by the pool backend
-and the campaign supervisor's herd/suspect phases.
+The ledger's ``land`` hook defaults to committing the run to the
+engine's memo/disk cache; its ``fail`` hook, called once for a spec that
+exhausts its budget, defaults to raising
+:class:`~repro.runner.engine.RunFailure` (the engine's classic
+fail-fast contract).  A collect-mode supervisor records an outcome
+instead and the batch keeps going.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 import signal as _signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 log = logging.getLogger("repro.runner")
 
 __all__ = [
-    "BACKEND_NAMES", "ExecutionBackend", "InlineBackend",
-    "ProcessPoolBackend", "make_backend", "new_pool", "kill_workers",
-    "drain_finished", "pool_worker_init",
+    "BACKEND_NAMES", "ExecutionBackend", "InlineBackend", "PoolPolicy",
+    "ProcessPoolBackend", "RetryLedger", "make_backend", "new_pool",
+    "kill_workers", "drain_finished", "pool_worker_init",
 ]
 
 #: the names ``make_backend`` (and the CLI ``--backend`` flag) accept
 BACKEND_NAMES = ("auto", "inline", "process-pool", "remote")
+
+#: how often the pool loop polls for signals and deadlines (seconds)
+_POLL_INTERVAL = 0.1
 
 LandFn = Callable[[str, object], None]
 FailFn = Callable[[str, BaseException], None]
@@ -64,7 +70,7 @@ TickFn = Callable[[], None]
 
 
 # ---------------------------------------------------------------------- #
-# shared process-pool plumbing (also used by the campaign supervisor)
+# process-pool plumbing
 # ---------------------------------------------------------------------- #
 def pool_worker_init() -> None:
     """Restore default SIGINT/SIGTERM dispositions in pool workers.
@@ -117,20 +123,182 @@ def drain_finished(inflight: Dict[object, str],
 
     A ``BrokenProcessPool`` poisons every *pending* future, but futures
     that already completed successfully still hold their results —
-    discarding them would charge (and possibly fail) a spec that
+    discarding them would blame (and possibly fail) a spec that
     actually succeeded.  ``land`` receives each finished
     ``(digest, result)``; the digests genuinely lost with the pool are
     returned.  Clears ``inflight``/``deadlines``.
     """
-    victims: List[str] = []
+    lost: List[str] = []
     for future, digest in list(inflight.items()):
         if future.done() and future.exception() is None:
             land(digest, future.result())
         else:
-            victims.append(digest)
+            lost.append(digest)
     inflight.clear()
     deadlines.clear()
-    return victims
+    return lost
+
+
+# ---------------------------------------------------------------------- #
+# pool-death policy and the retry ledger
+# ---------------------------------------------------------------------- #
+class PoolPolicy:
+    """How the pool loop meets worker deaths, plus its health telemetry.
+
+    A plain engine gets a fresh default policy per batch; a
+    :class:`~repro.runner.supervisor.Supervisor` *is* a policy and hands
+    itself to every batch it runs, so its telemetry spans campaigns.
+
+    Args:
+        jobs: the admission window's ceiling (the engine's ``jobs``).
+        quarantine_threshold: worker kills after which a spec is given
+            up on (>= 1).
+        backoff_base / backoff_cap / backoff_jitter / seed: the pool
+            rebuild delay is ``min(cap, base * 2**(deaths-1))`` scaled
+            by ``1 + jitter * U(0, 1)`` from a :class:`random.Random`
+            seeded with ``seed`` — deterministic for tests.
+        halve_after: consecutive pool deaths before the admission
+            window halves (concurrency shedding, in the spirit of Dice
+            & Kogan's *Avoiding Scalability Collapse by Restricting
+            Concurrency*).
+        heal_after: consecutive clean landings before the window doubles
+            back toward ``jobs``.
+        sleep_fn: injected for tests (receives the backoff seconds).
+    """
+
+    def __init__(self, jobs: int, *, quarantine_threshold: int = 2,
+                 backoff_base: float = 0.25, backoff_cap: float = 8.0,
+                 backoff_jitter: float = 0.5, seed: int = 0,
+                 halve_after: int = 2, heal_after: int = 8,
+                 sleep_fn: Callable[[float], None] = time.sleep) -> None:
+        if quarantine_threshold < 1:
+            raise ValueError("quarantine_threshold must be >= 1")
+        self.quarantine_threshold = quarantine_threshold
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self.backoff_jitter = backoff_jitter
+        self.halve_after = max(1, halve_after)
+        self.heal_after = max(1, heal_after)
+        self.sleep_fn = sleep_fn
+        self._rng = random.Random(seed)
+        self.ceiling = max(1, jobs)
+        self.window = self.ceiling              # current admission window
+        self.min_window = self.window           # lowest the window sank
+        self.pool_deaths = 0                    # workers lost to crashes
+        self.timeout_kills = 0                  # pools killed for hangs
+        self.rebuilds = 0
+        self.backoff_log: List[float] = []      # slept delays, in order
+        self._consecutive_deaths = 0
+        self._clean_streak = 0
+
+    def pool_died(self) -> None:
+        """Count a death; repeated ones halve the admission window."""
+        self.pool_deaths += 1
+        self._consecutive_deaths += 1
+        self._clean_streak = 0
+        if self._consecutive_deaths >= self.halve_after and self.window > 1:
+            self.window = max(1, self.window // 2)
+            self.min_window = min(self.min_window, self.window)
+            log.warning("[pool] %d consecutive pool deaths: admission "
+                        "window halved to %d", self._consecutive_deaths,
+                        self.window)
+
+    def landed(self) -> None:
+        """A clean landing; a sustained streak doubles the window back."""
+        self._consecutive_deaths = 0
+        self._clean_streak += 1
+        if self._clean_streak >= self.heal_after and self.window < self.ceiling:
+            self.window = min(self.ceiling, self.window * 2)
+            self._clean_streak = 0
+            log.info("[pool] sustained health: admission window restored "
+                     "to %d", self.window)
+
+    def backoff(self) -> None:
+        """Sleep before a rebuild: exponential in consecutive deaths."""
+        exponent = min(max(0, self._consecutive_deaths - 1), 16)
+        delay = min(self.backoff_cap, self.backoff_base * (2 ** exponent))
+        delay *= 1.0 + self.backoff_jitter * self._rng.random()
+        self.backoff_log.append(delay)
+        self.sleep_fn(delay)
+
+
+class RetryLedger:
+    """One batch's attempts and kills: the runner's only retry ledger.
+
+    Backends take work from :attr:`queue` and report every landing,
+    failed attempt and worker kill here.  A failed spec is requeued
+    while ``engine.retries`` lasts; a killed one may run again (alone)
+    until it reaches ``policy.quarantine_threshold`` kills.  After that
+    the ``fail`` hook settles it, exactly once.
+
+    Args:
+        todo: digest -> spec for the batch.
+        engine: supplies ``retries``, ``stats`` and the default hooks.
+        land: ``(digest, run)`` per landed result; defaults to the
+            engine's memo/disk-cache commit.
+        fail: ``(digest, exc)`` per exhausted spec; defaults to raising
+            :class:`~repro.runner.engine.RunFailure`.
+        policy: the :class:`PoolPolicy` for worker deaths; defaults to a
+            fresh one sized to ``engine.jobs``.
+    """
+
+    def __init__(self, todo: Dict[str, object], engine, *,
+                 land: Optional[LandFn] = None,
+                 fail: Optional[FailFn] = None,
+                 policy: Optional[PoolPolicy] = None) -> None:
+        self.todo = todo
+        self.engine = engine
+        self.policy = policy if policy is not None else PoolPolicy(engine.jobs)
+        self.queue: Deque[str] = deque(todo)    # digests awaiting a run
+        self.attempts: Dict[str, int] = dict.fromkeys(todo, 0)  # failed
+        self.kills: Dict[str, int] = dict.fromkeys(todo, 0)
+        self.out: Dict[str, object] = {}        # landed runs
+        self.settled: set = set()               # landed or given up on
+        self._land = land if land is not None else engine._commit
+        self._fail = fail if fail is not None else self._raise
+
+    def land(self, digest: str, run) -> None:
+        self._land(digest, run)
+        self.out[digest] = run
+        self.settled.add(digest)
+
+    def charge(self, digest: str, exc: BaseException) -> None:
+        """A failed attempt: requeue while the retry budget lasts."""
+        self.attempts[digest] += 1
+        if self.attempts[digest] > self.engine.retries:
+            self._exhaust(digest, exc)
+            return
+        self.engine.stats.retries += 1
+        log.warning("[retries] resubmitting %s (%s) attempt %d/%d with a "
+                    "fresh %ss budget after %r", digest[:12],
+                    self.todo[digest].describe(), self.attempts[digest] + 1,
+                    self.engine.retries + 1, self.engine.timeout, exc)
+        self.queue.append(digest)
+
+    def kill(self, digest: str, exc: BaseException) -> bool:
+        """The spec's worker died under it; True while it may run again."""
+        self.kills[digest] += 1
+        log.warning("[pool] %s killed its worker (%d/%d)", digest[:12],
+                    self.kills[digest], self.policy.quarantine_threshold)
+        if self.kills[digest] < self.policy.quarantine_threshold:
+            return True
+        self._exhaust(digest, exc)
+        return False
+
+    def abandon(self, exc: BaseException) -> None:
+        """Give up on every spec not yet settled (no executor left)."""
+        for digest in self.todo:
+            if digest not in self.settled:
+                self._exhaust(digest, exc)
+
+    def _exhaust(self, digest: str, exc: BaseException) -> None:
+        self.engine.stats.failures += 1
+        self.settled.add(digest)
+        self._fail(digest, exc)
+
+    def _raise(self, digest: str, exc: BaseException) -> None:
+        from repro.runner.engine import RunFailure
+        raise RunFailure(self.todo[digest], exc) from exc
 
 
 # ---------------------------------------------------------------------- #
@@ -139,41 +307,25 @@ def drain_finished(inflight: Dict[object, str],
 class ExecutionBackend:
     """Executes a batch of cache-miss specs on behalf of an engine.
 
-    Subclasses implement :meth:`execute`; the engine (and the campaign
-    supervisor, in collect mode) parameterize result landing and
-    failure handling through the ``land``/``fail``/``tick`` hooks
-    documented in the module docstring.
+    Subclasses implement :meth:`execute`, reporting to the batch's
+    :class:`RetryLedger` as documented in the module docstring.
     """
 
     #: stable identity, reported in ``Engine.summary()`` and manifests
     name = "abstract"
 
-    def execute(self, todo: Dict[str, object], engine, *,
-                land: Optional[LandFn] = None,
-                fail: Optional[FailFn] = None,
+    def execute(self, ledger: RetryLedger, *,
                 tick: Optional[TickFn] = None) -> Dict[str, object]:
-        """Run every spec in ``todo`` (digest -> spec); return landed runs.
+        """Run every spec in ``ledger.todo``; return the landed runs.
 
         The returned dict maps digest -> result for the specs that
-        landed; with the default ``fail`` the first exhausted spec
+        landed; with the default ``fail`` hook the first exhausted spec
         raises :class:`~repro.runner.engine.RunFailure` instead.
         """
         raise NotImplementedError
 
     def close(self) -> None:
         """Release backend resources (connections, pools).  Idempotent."""
-
-    def describe(self) -> str:
-        """Human-readable identity for logs and summaries."""
-        return self.name
-
-
-def _default_fail(todo: Dict[str, object]):
-    from repro.runner.engine import RunFailure
-
-    def fail(digest: str, exc: BaseException) -> None:
-        raise RunFailure(todo[digest], exc) from exc
-    return fail
 
 
 class InlineBackend(ExecutionBackend):
@@ -186,40 +338,40 @@ class InlineBackend(ExecutionBackend):
 
     name = "inline"
 
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None):
-        from repro.runner.engine import RunFailure
-        out: Dict[str, object] = {}
-        commit = land if land is not None else engine._commit
-        settle_fail = fail if fail is not None else _default_fail(todo)
-        for digest, spec in todo.items():
+    def execute(self, ledger, *, tick=None):
+        execute_fn = ledger.engine._execute_fn
+        while ledger.queue:
             if tick is not None:
                 tick()
+            digest = ledger.queue.popleft()
             try:
-                run = engine._execute_with_retry(spec)
-            except RunFailure as failure:
-                cause = failure.cause if failure.cause is not None else failure
-                settle_fail(digest, cause)
+                run = execute_fn(ledger.todo[digest])
+            except Exception as exc:
+                ledger.charge(digest, exc)
             else:
-                # commit as results land, so an abort later in the
-                # batch never discards finished (cacheable) work
-                commit(digest, run)
-                out[digest] = run
-        return out
+                ledger.land(digest, run)
+        return ledger.out
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan specs over a process pool; results commit as they land.
+    """Fan specs over a process pool: the runner's one pool loop.
 
-    Collection is ``wait()``-driven, so finished futures are drained
-    the moment they complete — one slow or hung spec can no longer
-    head-of-line-block the other N-1 results.  Each (re)submission gets
-    its own wall-clock deadline measured from submission; a
-    resubmission therefore starts a *fresh* budget, which is logged as
-    a ``[retries]`` warning rather than happening silently.  A worker
-    death (``BrokenProcessPool``) costs every in-flight spec one
-    attempt (the killer cannot be attributed) and the pool is rebuilt;
-    the campaign supervisor layers smarter blame, backoff and
-    quarantine on top of this.
+    Collection is ``wait()``-driven, so finished futures land the moment
+    they complete — one slow or hung spec never head-of-line-blocks the
+    others.  Each (re)submission gets its own wall-clock deadline
+    measured from submission.  Worker deaths follow the ledger's
+    :class:`PoolPolicy`:
+
+    - a death with several specs in flight cannot name the killer, so
+      the lost specs re-run alone, uncharged;
+    - a death with one spec in flight is that spec's kill, and
+      ``quarantine_threshold`` kills exhaust it (a supervised campaign
+      reports it ``quarantined``);
+    - every rebuild after a death backs off with seeded jitter, repeated
+      deaths halve the admission window and clean landings heal it;
+    - a worker stuck past its deadline costs its spec an attempt and the
+      pool is killed; the innocent in-flight specs are requeued
+      uncharged.
 
     Args:
         jobs: worker processes; ``None`` uses the engine's ``jobs``.
@@ -232,68 +384,106 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
 
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None):
-        out: Dict[str, object] = {}
-        commit = land if land is not None else engine._commit
-        on_exhausted = fail if fail is not None else _default_fail(todo)
+    def execute(self, ledger, *, tick=None):
+        engine, policy, todo = ledger.engine, ledger.policy, ledger.todo
         jobs = self.jobs if self.jobs is not None else engine.jobs
         max_workers = min(max(1, jobs), len(todo))
         timeout = engine.timeout
-        pool = new_pool(max_workers)
-        queue = deque(todo)                       # digests awaiting submission
+        queue = ledger.queue
+        solo: Deque[str] = deque()                # specs that must run alone
+        alone = None                              # the future running alone
         inflight: Dict[object, str] = {}          # future -> digest
         deadlines: Dict[object, Optional[float]] = {}
-        attempts: Dict[str, int] = {digest: 0 for digest in todo}
+        pool: Optional[ProcessPoolExecutor] = new_pool(max_workers)
 
-        def submit(digest: str) -> None:
-            future = pool.submit(engine._execute_fn, todo[digest])
+        def submit(source: Deque[str]):
+            digest = source.popleft()
+            try:
+                future = pool.submit(engine._execute_fn, todo[digest])
+            except BrokenProcessPool:
+                source.appendleft(digest)  # it never reached a worker
+                raise
             inflight[future] = digest
             deadlines[future] = (time.monotonic() + timeout
                                  if timeout is not None else None)
+            return future
 
-        def settle(digest: str, run) -> None:
-            commit(digest, run)
-            out[digest] = run
+        def land(digest: str, run) -> None:
+            ledger.land(digest, run)
+            policy.landed()
 
-        def retry_or_fail(digest: str, exc: BaseException) -> None:
-            attempts[digest] += 1
-            if attempts[digest] <= engine.retries:
-                engine.stats.retries += 1
-                log.warning(
-                    "[retries] resubmitting %s (%s) attempt %d/%d with a "
-                    "fresh %ss budget after %r", digest[:12],
-                    todo[digest].describe(), attempts[digest] + 1,
-                    engine.retries + 1, timeout, exc)
-                queue.append(digest)
+        def restart(backoff: bool) -> None:
+            """Kill the pool; rebuild it (after a backoff) if work remains."""
+            nonlocal pool
+            kill_workers(pool)
+            pool = None
+            if queue or solo:
+                if backoff:
+                    policy.backoff()
+                policy.rebuilds += 1
+                pool = new_pool(max_workers)
+
+        def died(exc: BaseException) -> None:
+            """The pool is dead: land what finished, blame what was lost."""
+            lost = drain_finished(inflight, deadlines, land)
+            policy.pool_died()
+            if len(lost) == 1:
+                if ledger.kill(lost[0], exc):
+                    solo.append(lost[0])
             else:
-                engine.stats.failures += 1
-                on_exhausted(digest, exc)
+                solo.extend(lost)  # ambiguous: each re-runs alone, uncharged
+            restart(backoff=True)
+
+        def expire() -> None:
+            """Charge over-deadline futures; kill the pool if one is stuck."""
+            now = time.monotonic()
+            cause = FuturesTimeout(f"exceeded {timeout}s budget")
+            stuck = False
+            for future in [f for f in inflight if now >= deadlines[f]]:
+                if future.done():
+                    continue  # finished in the race; collected next wait()
+                if not future.cancel():
+                    if future.done():
+                        # completed between the done() check and cancel();
+                        # leave it in flight for the next wait() to collect
+                        continue
+                    stuck = True  # running: only killing the pool frees it
+                deadlines.pop(future)
+                ledger.charge(inflight.pop(future), cause)
+            if stuck:
+                # a hung worker holds the pool hostage: kill it and requeue
+                # the innocent in-flight specs (fresh deadline, no charge)
+                policy.timeout_kills += 1
+                innocents = list(inflight.values())
+                inflight.clear()
+                deadlines.clear()
+                if innocents:
+                    log.info("[pool] resubmitting %d in-flight specs after "
+                             "killing a stuck worker", len(innocents))
+                queue.extendleft(innocents)
+                restart(backoff=False)
 
         try:
-            while queue or inflight:
+            while queue or solo or inflight:
                 if tick is not None:
                     tick()
-                while queue and len(inflight) < max_workers:
-                    digest = queue.popleft()
-                    try:
-                        submit(digest)
-                    except BrokenProcessPool as exc:
-                        # a worker died between waits; siblings that had
-                        # already finished keep their results, the rest
-                        # are charged and the pool is rebuilt
-                        victims = [digest] + drain_finished(
-                            inflight, deadlines, settle)
-                        kill_workers(pool)
-                        for victim in victims:
-                            retry_or_fail(victim, exc)
-                        pool = new_pool(max_workers)
+                try:
+                    if solo or alone in inflight:
+                        if not inflight:
+                            alone = submit(solo)
+                    else:
+                        window = min(policy.window, max_workers)
+                        while queue and len(inflight) < window:
+                            submit(queue)
+                except BrokenProcessPool as exc:
+                    died(exc)  # a worker died between waits
+                    continue
                 if not inflight:
                     continue
-                wait_for = None
+                wait_for = _POLL_INTERVAL
                 if timeout is not None:
-                    now = time.monotonic()
-                    wait_for = max(0.0, min(deadlines[f] for f in inflight)
-                                   - now)
+                    wait_for = min(wait_for, max(0.0, min(
+                        deadlines.values()) - time.monotonic()))
                 done, _ = wait(set(inflight), timeout=wait_for,
                                return_when=FIRST_COMPLETED)
                 # successes first: a concurrent crash must not discard
@@ -301,72 +491,26 @@ class ProcessPoolBackend(ExecutionBackend):
                 broken: Optional[BaseException] = None
                 for future in sorted(done,
                                      key=lambda f: f.exception() is not None):
+                    exc = future.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        broken = exc  # stays in flight for died() to blame
+                        continue
                     digest = inflight.pop(future)
                     deadlines.pop(future, None)
-                    exc = future.exception()
                     if exc is None:
-                        settle(digest, future.result())
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = exc
-                        retry_or_fail(digest, exc)
+                        land(digest, future.result())
                     else:
-                        retry_or_fail(digest, exc)
+                        ledger.charge(digest, exc)
                 if broken is not None:
-                    # the pool is dead: in-flight specs that had not yet
-                    # finished are lost with it; charge each an attempt
-                    # and rebuild (finished ones keep their results)
-                    victims = drain_finished(inflight, deadlines, settle)
-                    kill_workers(pool)
-                    for digest in victims:
-                        retry_or_fail(digest, broken)
-                    pool = new_pool(max_workers)
-                    continue
-                if timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [f for f in list(inflight)
-                               if deadlines[f] is not None
-                               and now >= deadlines[f]]
-                    stuck: List[str] = []
-                    for future in expired:
-                        if future.done():
-                            continue  # finished in the race; next wait()
-                        cause = FuturesTimeout(
-                            f"exceeded {timeout}s budget")
-                        if future.cancel():
-                            # never started: the worker is unharmed
-                            digest = inflight.pop(future)
-                            deadlines.pop(future, None)
-                            retry_or_fail(digest, cause)
-                        elif future.done():
-                            # completed between the done() check and
-                            # cancel(); leave it for the next wait()
-                            continue
-                        else:
-                            digest = inflight.pop(future)
-                            deadlines.pop(future, None)
-                            stuck.append(digest)
-                            retry_or_fail(digest, cause)
-                    if stuck:
-                        # stuck workers hold the pool hostage: kill it and
-                        # resubmit the innocent in-flight specs (a rebuild
-                        # casualty, not a retry — fresh deadline, no charge)
-                        innocents = list(inflight.values())
-                        inflight.clear()
-                        deadlines.clear()
-                        kill_workers(pool)
-                        if innocents:
-                            log.info(
-                                "[engine] resubmitting %d in-flight specs "
-                                "after killing workers stuck on %s",
-                                len(innocents),
-                                ",".join(d[:12] for d in stuck))
-                        queue.extendleft(innocents)
-                        pool = new_pool(max_workers)
+                    died(broken)
+                elif timeout is not None and inflight:
+                    expire()
         finally:
             # terminate rather than join: a stuck or half-dead worker must
             # never be able to hang shutdown
-            kill_workers(pool)
-        return out
+            if pool is not None:
+                kill_workers(pool)
+        return ledger.out
 
 
 def make_backend(name: str, *, jobs: Optional[int] = None,

@@ -23,12 +23,34 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["CacheStats", "ResultCache", "CacheCorruption", "CACHE_FORMAT"]
+__all__ = ["CacheStats", "ResultCache", "CacheCorruption", "CACHE_FORMAT",
+           "atomic_write"]
 
 #: bump when the pickled payload layout changes
 CACHE_FORMAT = 1
+
+
+def atomic_write(path: Path, dump: Callable[[IO], None],
+                 binary: bool = False) -> None:
+    """Write ``path`` through ``dump(fh)`` on a temp file + ``os.replace``.
+
+    Readers see the old file or the new one, never a torn write; a
+    failed ``dump`` leaves no temp file behind.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb" if binary else "w") as fh:
+            dump(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class CacheCorruption(Exception):
@@ -102,20 +124,10 @@ class ResultCache:
               spec_dict: Optional[Dict] = None) -> Path:
         """Atomically persist ``run`` under ``digest``."""
         path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"format": CACHE_FORMAT, "digest": digest,
                    "spec": spec_dict, "run": run}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, lambda fh: pickle.dump(
+            payload, fh, protocol=pickle.HIGHEST_PROTOCOL), binary=True)
         return path
 
     def missing(self, digests) -> List[str]:

@@ -3,8 +3,8 @@
 Replaces the old per-process memo dict in ``repro.experiments.common``
 with a three-tier story:
 
-1. an in-process **memo** (digest -> :class:`BenchmarkRun`), preserving
-   the classic ``run_benchmark`` is-identical semantics within a process;
+1. an in-process **memo** (digest -> :class:`BenchmarkRun`): repeated
+   submissions in one process return the identical object;
 2. a persistent, content-addressed **disk cache**
    (:class:`~repro.runner.cache.ResultCache`) keyed by the spec digest,
    so a full figure suite is resumable across interpreter restarts;
@@ -31,9 +31,8 @@ log = logging.getLogger("repro.runner")
 from repro.energy import EnergyAccount, account_run, ed2p
 from repro.machine import Machine, RunResult
 from repro.runner.backends import (ExecutionBackend, InlineBackend,
-                                   ProcessPoolBackend, drain_finished,
-                                   kill_workers, make_backend, new_pool,
-                                   pool_worker_init)
+                                   ProcessPoolBackend, RetryLedger,
+                                   make_backend)
 from repro.runner.cache import CacheCorruption, ResultCache
 from repro.runner.spec import RunSpec
 from repro.workloads import make_workload
@@ -41,9 +40,6 @@ from repro.workloads.registry import PARAMETRIC_WORKLOADS
 
 __all__ = ["BenchmarkRun", "Engine", "EngineStats", "RunFailure",
            "execute_spec"]
-
-#: backwards-compatible alias — the initializer moved to repro.runner.backends
-_pool_worker_init = pool_worker_init
 
 
 @dataclass
@@ -156,12 +152,6 @@ class Engine:
             :class:`~repro.runner.remote.RemoteBackend`).
     """
 
-    # shared pool plumbing, re-exported for the supervisor and tests
-    # (the implementations moved to repro.runner.backends)
-    _new_pool = staticmethod(new_pool)
-    _kill_workers = staticmethod(kill_workers)
-    _drain_finished = staticmethod(drain_finished)
-
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None, retries: int = 0,
                  execute_fn: Callable[[RunSpec], BenchmarkRun] = execute_spec,
@@ -235,7 +225,7 @@ class Engine:
                     "see docs/running-experiments.md",
                     RuntimeWarning, stacklevel=3,
                 )
-            fresh = backend.execute(todo_specs, self)
+            fresh = backend.execute(RetryLedger(todo_specs, self))
             for digest, run in fresh.items():
                 for i in todo_slots[digest]:
                     out[i] = run
@@ -306,15 +296,3 @@ class Engine:
     def _notify(self, digest: str, run: BenchmarkRun) -> None:
         for observer in self.observers:
             observer(digest, run)
-
-    def _execute_with_retry(self, spec: RunSpec) -> BenchmarkRun:
-        last: BaseException
-        for attempt in range(self.retries + 1):
-            try:
-                return self._execute_fn(spec)
-            except Exception as exc:
-                last = exc
-                if attempt < self.retries:
-                    self.stats.retries += 1
-        self.stats.failures += 1
-        raise RunFailure(spec, last) from last

@@ -11,9 +11,9 @@ warm cache.
 The :class:`RemoteBackend` is the matching
 :class:`~repro.runner.backends.ExecutionBackend`: it fans a batch of
 specs over a fixed set of worker addresses (one dispatch thread per
-worker pulling from a shared queue), lands results through the engine's
-usual commit hooks, and applies the same retry budget as the pool
-backend.
+worker pulling from the batch's shared queue) and reports every landing
+and failed attempt to the batch's
+:class:`~repro.runner.backends.RetryLedger`, like every backend.
 
 **Leases and heartbeats** make the backend self-healing.  Every
 dispatched spec holds a *lease*: the worker must produce a frame — a
@@ -51,7 +51,6 @@ import socketserver
 import struct
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -610,56 +609,34 @@ class RemoteBackend(ExecutionBackend):
         self.health: Dict[str, WorkerHealth] = {
             address: WorkerHealth(address) for address in addresses}
 
-    def describe(self) -> str:
-        return f"remote({','.join(self.addresses)})"
-
     def health_snapshot(self) -> List[Dict[str, object]]:
         """Per-worker breaker state + telemetry (service ``/status``)."""
         return [self.health[address].snapshot()
                 for address in self.addresses]
 
     # ------------------------------------------------------------------ #
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None):
-        from repro.runner.engine import RunFailure
-
-        out: Dict[str, object] = {}
-        commit = land if land is not None else engine._commit
+    def execute(self, ledger, *, tick=None):
+        todo, queue = ledger.todo, ledger.queue
         lock = threading.Lock()
-        queue = deque(todo)
-        attempts: Dict[str, int] = {digest: 0 for digest in todo}
-        resolved: set = set()           # landed or settled-failed digests
-        abort: List[BaseException] = []  # first abort-mode failure
+        abort: List[BaseException] = []  # raised by a ledger hook
         # the lease, not this overall budget, catches dead workers; the
         # budget only expires genuinely over-long runs
-        io_timeout = (engine.timeout + 1.0
-                      if engine.timeout is not None else None)
+        timeout = ledger.engine.timeout
+        io_timeout = timeout + 1.0 if timeout is not None else None
 
         def finished() -> bool:
             # caller holds `lock`
-            return bool(abort) or len(resolved) == len(todo)
+            return bool(abort) or len(ledger.settled) == len(todo)
 
-        def exhausted(digest: str, exc: BaseException) -> None:
-            # caller holds `lock`
-            engine.stats.failures += 1
-            resolved.add(digest)
-            if fail is None:
-                if not abort:
-                    abort.append(RunFailure(todo[digest], exc))
-            else:
-                fail(digest, exc)
-
-        def charge(digest: str, exc: BaseException) -> None:
-            # caller holds `lock`
-            attempts[digest] += 1
-            if attempts[digest] <= engine.retries:
-                engine.stats.retries += 1
-                log.warning(
-                    "[retries] resubmitting %s (%s) attempt %d/%d after %r",
-                    digest[:12], todo[digest].describe(),
-                    attempts[digest] + 1, engine.retries + 1, exc)
-                queue.append(digest)
-            else:
-                exhausted(digest, exc)
+        def report(method, digest: str, value) -> None:
+            """Land or charge under the lock.  A hook that raises (the
+            default ``fail`` does) stops the batch; the calling thread
+            re-raises it once the dispatch threads are done."""
+            with lock:
+                try:
+                    method(digest, value)
+                except BaseException as exc:
+                    abort.append(exc)
 
         def trip(health: WorkerHealth, why: str) -> None:
             """One strike: quarantine with exponential backoff, or retire."""
@@ -726,7 +703,7 @@ class RemoteBackend(ExecutionBackend):
                         if finished():
                             return
                         if not queue:
-                            in_flight = len(todo) - len(resolved)
+                            in_flight = len(todo) - len(ledger.settled)
                         else:
                             in_flight = 0
                             digest = queue.popleft()
@@ -757,23 +734,20 @@ class RemoteBackend(ExecutionBackend):
                         # not
                         health.current = None
                         health.consecutive_failures = 0
-                        with lock:
-                            charge(digest, exc)
+                        report(ledger.charge, digest, exc)
                     except LeaseExpired as exc:
                         health.lease_breaks += 1
                         log.warning("[remote] lease broken by %s on %s: %s",
                                     address, digest[:12], exc)
                         drop_client()
-                        with lock:
-                            charge(digest, exc)
+                        report(ledger.charge, digest, exc)
                         trip(health, "lease expired")
                     except WorkerDied as exc:
                         health.deaths += 1
                         log.warning("[remote] lost worker %s: %s",
                                     address, exc)
                         drop_client()
-                        with lock:
-                            charge(digest, exc)
+                        report(ledger.charge, digest, exc)
                         trip(health, "connection died")
                     except TimeoutError as exc:
                         # the spec blew its overall budget; the worker may
@@ -781,24 +755,19 @@ class RemoteBackend(ExecutionBackend):
                         # connection (no strike: heartbeats kept arriving)
                         health.current = None
                         drop_client()
-                        with lock:
-                            charge(digest, exc)
+                        report(ledger.charge, digest, exc)
                     except (OSError, pickle.PickleError, EOFError) as exc:
                         health.deaths += 1
                         log.warning("[remote] worker %s I/O error: %r",
                                     address, exc)
                         drop_client()
-                        with lock:
-                            charge(digest, exc)
+                        report(ledger.charge, digest, exc)
                         trip(health, f"I/O error: {exc!r}")
                     else:
                         health.current = None
                         health.completed += 1
                         health.consecutive_failures = 0
-                        with lock:
-                            commit(digest, run)
-                            out[digest] = run
-                            resolved.add(digest)
+                        report(ledger.land, digest, run)
             finally:
                 drop_client()
 
@@ -816,49 +785,10 @@ class RemoteBackend(ExecutionBackend):
             tick()
         if abort:
             raise abort[0]
-        with lock:
-            stranded = [d for d in todo
-                        if d not in resolved] + list(queue)
-        if stranded:
+        owed = len(todo) - len(ledger.settled)
+        if owed:
             # every worker was retired with work still owed
-            digest = stranded[0]
-            cause = ConnectionError(
+            ledger.abandon(ConnectionError(
                 f"no live workers left (of {len(self.addresses)}) with "
-                f"{len(set(stranded))} specs still owed")
-            if fail is None:
-                raise RunFailure(todo[digest], cause)
-            with lock:
-                for d in dict.fromkeys(stranded):
-                    if d not in resolved:
-                        exhausted(d, cause)
-        return out
-
-    def shutdown_workers(self) -> int:
-        """Ask every reachable worker to exit; returns how many acked."""
-        acked = 0
-        for address in self.addresses:
-            try:
-                client = WorkerClient(address,
-                                      connect_timeout=self.connect_timeout)
-                client.shutdown()
-                acked += 1
-            except OSError:
-                pass
-        return acked
-
-    def wait_ready(self, deadline: float = 30.0) -> None:
-        """Block until every worker answers a ping (startup races)."""
-        end = time.monotonic() + deadline
-        for address in self.addresses:
-            while True:
-                try:
-                    client = WorkerClient(address, connect_timeout=1.0)
-                    client.ping()
-                    client.close()
-                    break
-                except OSError:
-                    if time.monotonic() >= end:
-                        raise ConnectionError(
-                            f"worker {address} not ready after "
-                            f"{deadline}s") from None
-                    time.sleep(0.1)
+                f"{owed} specs still owed"))
+        return ledger.out

@@ -166,6 +166,10 @@ class CampaignService:
 
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # headers and body go out in two writes; with Nagle on, the
+            # body waits for the client's delayed ACK on kept-alive
+            # connections
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt, *args):  # route through logging
                 log.debug("[serve] %s", fmt % args)
@@ -393,18 +397,17 @@ class CampaignService:
         before_hits = (self.engine.stats.memo_hits
                        + self.engine.stats.disk_hits)
         self.engine.observers.append(observe)
+        status = "failed"
         try:
             self.engine.run_specs(job.campaign.specs)
-            job.status = "done"
+            status = "done"
         except RunFailure as exc:
-            job.status = "failed"
             job.error = str(exc)
             if journal is not None:
                 journal.spec_failed(job.id, exc.spec.digest(),
                                     repr(exc.cause))
             log.warning("[serve] %s failed: %s", job.id, exc)
         except Exception as exc:  # the executor thread must survive
-            job.status = "failed"
             job.error = repr(exc)
             log.warning("[serve] %s crashed: %r", job.id, exc)
         finally:
@@ -413,6 +416,8 @@ class CampaignService:
             job.executed = self.engine.stats.executed - before_exec
             job.cache_hits = (self.engine.stats.memo_hits
                               + self.engine.stats.disk_hits - before_hits)
+            # last: a reader that sees the job finished sees its counters
+            job.status = status
             if journal is not None:
                 journal.job_done(job.id, job.status, job.executed,
                                  job.cache_hits, job.error)

@@ -140,7 +140,7 @@ class RunSpec:
                   scale: float = 1.0, other_kind: str = "tatas",
                   hc_kinds: Optional[Sequence[str]] = None,
                   **kwargs) -> "RunSpec":
-        """Mirror of the classic ``run_benchmark`` signature."""
+        """A registry benchmark on the Table II baseline machine."""
         return cls(workload=name, scale=scale, hc_kind=hc_kind,
                    other_kind=other_kind,
                    hc_kinds=tuple(hc_kinds) if hc_kinds is not None else None,

@@ -13,19 +13,19 @@ killed by the OS, or a Ctrl-C half-way through.  The
   crash / deadlock / sanitizer / error / quarantined) instead of
   aborting on the first failure; ``"abort"`` reproduces the engine's
   classic die-on-first-failure contract.
-- **crash recovery** — a dead process pool (``BrokenProcessPool``) is
-  rebuilt and its in-flight specs are resubmitted, after an exponential
-  backoff with seeded jitter.  Repeated consecutive pool deaths shed
-  concurrency (the admission *window* halves, never below 1) in the
-  spirit of Dice & Kogan's *Avoiding Scalability Collapse by Restricting
-  Concurrency*; a sustained healthy streak restores it.
-- **poison quarantine** — specs that were in flight when a pool died are
-  re-run one at a time in an isolation pool, where blame is unambiguous.
-  A spec that kills its (solo) worker ``quarantine_threshold`` times is
-  parked: its outcome becomes ``quarantined``, it is recorded in the
-  manifest and the quarantine file with its digest and last failure, and
-  it is never resubmitted for the rest of the campaign (including
-  resumed passes).
+- **crash recovery** — the supervisor is the batch's
+  :class:`~repro.runner.backends.PoolPolicy`: the runner's one pool
+  loop rebuilds a dead pool after an exponential backoff with seeded
+  jitter, and repeated consecutive pool deaths shed concurrency (the
+  admission *window* halves, never below 1) in the spirit of Dice &
+  Kogan's *Avoiding Scalability Collapse by Restricting Concurrency*; a
+  sustained healthy streak restores it.
+- **poison quarantine** — specs that were in flight when a pool died
+  re-run alone, where blame is unambiguous.  A spec that kills its
+  worker ``quarantine_threshold`` times is parked: its outcome becomes
+  ``quarantined``, it is recorded in the manifest and the quarantine
+  file with its digest and last failure, and it is never resubmitted
+  for the rest of the campaign (including resumed passes).
 - **checkpoint / resume** — when given a ``manifest_path`` the
   supervisor writes an atomically-replaced JSON manifest (pending /
   done / failed / quarantined digests + engine stats) every time a
@@ -36,7 +36,7 @@ killed by the OS, or a Ctrl-C half-way through.  The
   down mid-write.
 
 The supervisor reaches into the engine's internal ``_lookup`` /
-``_commit`` / ``_execute_fn`` on purpose: they are the engine's caching
+``_commit`` / ``_auto_pool`` on purpose: they are the engine's caching
 contract, and the two classes live in the same package and release
 train.
 """
@@ -46,20 +46,15 @@ from __future__ import annotations
 import json
 import logging
 import os
-import random
 import signal
-import tempfile
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.runner.backends import drain_finished, kill_workers, new_pool
+from repro.runner.backends import PoolPolicy, RetryLedger
+from repro.runner.cache import atomic_write
 from repro.runner.engine import BenchmarkRun, Engine, RunFailure
 from repro.runner.outcome import (OK, QUARANTINED, RunOutcome,
                                   classify_failure, summarize_outcomes)
@@ -72,9 +67,6 @@ log = logging.getLogger("repro.runner")
 
 #: bump when the manifest JSON layout changes
 MANIFEST_VERSION = 1
-
-#: how often the execution loops poll for signals/deadlines (seconds)
-_POLL_INTERVAL = 0.1
 
 
 class CampaignInterrupted(RuntimeError):
@@ -177,18 +169,8 @@ class CampaignManifest:
 
     def flush(self) -> None:
         """Atomically persist the manifest (temp file + ``os.replace``)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self.data, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, lambda fh: json.dump(self.data, fh, indent=1,
+                                                     sort_keys=True))
 
 
 @dataclass
@@ -215,38 +197,29 @@ class CampaignResult:
         return [o.run if o.ok else None for o in self.outcomes]
 
 
-@dataclass
-class _SpecState:
-    """Mutable per-digest campaign bookkeeping."""
-
-    spec: RunSpec
-    attempts: int = 0      # failed execution attempts (retry budget)
-    kills: int = 0         # unambiguous worker kills
-    last_error: Optional[BaseException] = None
-
-
-class Supervisor:
+class Supervisor(PoolPolicy):
     """Failure-isolating, crash-recovering campaign executor.
+
+    The supervisor is the :class:`~repro.runner.backends.PoolPolicy` of
+    every batch it runs, so its pool-health telemetry (``pool_deaths``,
+    ``timeout_kills``, ``rebuilds``, ``window``, ``min_window``,
+    ``backoff_log``) spans its campaigns.
 
     Args:
         engine: the configured :class:`Engine` whose caches, timeout,
-            retry budget and ``jobs`` the campaign uses.  Unlike the
-            bare engine, the supervisor *always* executes on a process
-            pool (``jobs=1`` becomes a one-worker pool) so crashes and
-            hangs stay isolated from the campaign process.
+            retry budget, ``jobs`` and backend the campaign uses.
+            Without an explicit backend the supervisor runs the
+            engine's process pool even for ``jobs=1`` (a one-worker
+            pool), so crashes and hangs stay isolated from the campaign
+            process.
         fail_policy: ``"collect"`` (default) records failures as
             outcomes and keeps going; ``"abort"`` raises
             :class:`RunFailure` on the first exhausted spec.
         quarantine_threshold: unambiguous worker kills after which a
             spec is quarantined (>= 1).
-        backoff_base / backoff_cap / backoff_jitter / seed: the pool
-            rebuild delay is ``min(cap, base * 2**(deaths-1))`` scaled
-            by ``1 + jitter * U(0, 1)`` from a :class:`random.Random`
-            seeded with ``seed`` — deterministic for tests.
-        halve_after: consecutive pool deaths before the admission
-            window halves (concurrency shedding).
-        heal_after: consecutive clean landings before the window doubles
-            back toward ``engine.jobs``.
+        backoff_base / backoff_cap / backoff_jitter / seed /
+        halve_after / heal_after / sleep_fn: the pool-death policy (see
+            :class:`~repro.runner.backends.PoolPolicy`).
         manifest_path: where to checkpoint campaign progress (JSON);
             ``None`` disables checkpointing.
         resume_from: path of a previous campaign's manifest; its
@@ -255,7 +228,6 @@ class Supervisor:
             the same file so the resumed pass keeps checkpointing.
         quarantine_path: where quarantined specs are parked (defaults to
             ``<manifest_path>.quarantine.json`` when a manifest is set).
-        sleep_fn: injected for tests (receives the backoff seconds).
         on_checkpoint: optional callable invoked with the supervisor
             after every landed result (progress hooks, tests).
         install_signal_handlers: install SIGINT/SIGTERM checkpoint
@@ -276,20 +248,16 @@ class Supervisor:
                  install_signal_handlers: bool = True) -> None:
         if fail_policy not in ("abort", "collect"):
             raise ValueError(f"unknown fail_policy {fail_policy!r}")
-        if quarantine_threshold < 1:
-            raise ValueError("quarantine_threshold must be >= 1")
+        super().__init__(engine.jobs,
+                         quarantine_threshold=quarantine_threshold,
+                         backoff_base=backoff_base, backoff_cap=backoff_cap,
+                         backoff_jitter=backoff_jitter, seed=seed,
+                         halve_after=halve_after, heal_after=heal_after,
+                         sleep_fn=sleep_fn)
         self.engine = engine
         self.fail_policy = fail_policy
-        self.quarantine_threshold = quarantine_threshold
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self.halve_after = max(1, halve_after)
-        self.heal_after = max(1, heal_after)
-        self.sleep_fn = sleep_fn
         self.on_checkpoint = on_checkpoint
         self.install_signal_handlers = install_signal_handlers
-        self._rng = random.Random(seed)
 
         # resume state --------------------------------------------------
         self._resume_quarantined: Dict[str, Dict] = {}
@@ -306,16 +274,6 @@ class Supervisor:
         if quarantine_path is None and manifest_path is not None:
             quarantine_path = str(manifest_path) + ".quarantine.json"
         self.quarantine_path = quarantine_path
-
-        # adaptive admission + health telemetry -------------------------
-        self.window = max(1, engine.jobs)       # current admission window
-        self.min_window = self.window           # lowest the campaign sank
-        self.pool_deaths = 0                    # workers lost to crashes
-        self.timeout_kills = 0                  # pools killed for hangs
-        self.rebuilds = 0
-        self.backoff_log: List[float] = []      # slept delays, in order
-        self._consecutive_deaths = 0
-        self._clean_streak = 0
 
         #: every outcome across this supervisor's campaigns, in order
         self.outcomes: List[RunOutcome] = []
@@ -369,14 +327,7 @@ class Supervisor:
                     self.manifest.mark_pending(digest)
                 self._flush_manifest()
             if todo:
-                state = {digest: _SpecState(spec)
-                         for digest, spec in todo.items()}
-                backend = self._delegated_backend()
-                if backend is not None:
-                    self._delegated_phase(todo, state, by_digest, backend)
-                else:
-                    suspects = self._herd_phase(todo, state, by_digest)
-                    self._suspect_phase(todo, state, suspects, by_digest)
+                self._execute(todo, by_digest)
             self._flush_manifest()
             outcomes = [by_digest[digest] for digest in order]
             self.outcomes.extend(outcomes)
@@ -394,339 +345,68 @@ class Supervisor:
                 f"pool_deaths={self.pool_deaths} "
                 f"timeout_kills={self.timeout_kills} "
                 f"rebuilds={self.rebuilds} "
-                f"window={self.window}/{max(1, self.engine.jobs)} "
+                f"window={self.window}/{self.ceiling} "
                 f"backoffs={len(self.backoff_log)} "
                 f"policy={self.fail_policy}")
 
     # ------------------------------------------------------------------ #
-    # delegated phase: an explicit non-pool backend executes the batch
+    # execution: the engine's backend runs the batch, we keep the books
     # ------------------------------------------------------------------ #
-    def _delegated_backend(self):
-        """The engine's explicit backend, when the supervisor should
-        delegate to it instead of herding its own process pools.
+    def _execute(self, todo: Dict[str, RunSpec],
+                 by_digest: Dict[str, RunOutcome]) -> None:
+        """Run ``todo`` on the engine's backend, one outcome per spec.
 
-        Pool-based execution (the default, and explicit
-        ``process-pool``) keeps the supervisor's own herd/suspect
-        machinery — that is where broken-pool blame, admission-window
-        shedding and quarantine are meaningful.  An explicit ``inline``
-        or ``remote`` backend executes the batch itself; the supervisor
-        still provides the outcome taxonomy, fail-policy, manifests and
-        checkpointing on top (worker-kill quarantine does not apply:
-        there is no local pool to die).
+        The batch's :class:`~repro.runner.backends.RetryLedger` counts
+        attempts and kills and calls ``fail`` once per exhausted spec,
+        where the fail-policy decides between aborting and recording a
+        classified (or quarantined) outcome.
         """
-        backend = self.engine.backend
-        if backend is not None and backend.name != "process-pool":
-            return backend
-        return None
+        engine = self.engine
+        backend = (engine.backend if engine.backend is not None
+                   else engine._auto_pool)
 
-    def _delegated_phase(self, todo: Dict[str, RunSpec],
-                         state: Dict[str, _SpecState],
-                         by_digest: Dict[str, RunOutcome], backend) -> None:
-        """Run ``todo`` through ``backend`` with per-spec outcomes.
-
-        The backend handles its own retry budget (charging
-        ``engine.stats``); an exhausted spec reaches ``fail`` exactly
-        once, where the fail-policy decides between aborting and
-        recording a classified outcome.
-        """
         def land(digest: str, run: BenchmarkRun) -> None:
-            self.engine._commit(digest, run)
-            self._land_bookkeeping(digest, run, state, by_digest)
+            engine._commit(digest, run)
+            by_digest[digest] = RunOutcome(
+                todo[digest], digest, OK, run=run,
+                attempts=ledger.attempts[digest] + 1,
+                kills=ledger.kills[digest])
+            if self.manifest is not None:
+                self.manifest.mark_done(digest)
+                self._flush_manifest()
+            if self.on_checkpoint is not None:
+                self.on_checkpoint(self)
 
         def fail(digest: str, exc: BaseException) -> None:
-            st = state[digest]
-            st.attempts += 1
-            st.last_error = exc
+            spec, kills = todo[digest], ledger.kills[digest]
             if self.fail_policy == "abort":
                 self._flush_manifest()
-                raise RunFailure(st.spec, exc) from exc
-            status = classify_failure(exc)
-            by_digest[digest] = RunOutcome(st.spec, digest, status,
-                                           error=repr(exc),
-                                           attempts=st.attempts,
-                                           kills=st.kills)
-            log.warning("[campaign] %s", by_digest[digest].describe())
-            if self.manifest is not None:
-                self.manifest.mark_failed(digest, status, repr(exc),
-                                          st.attempts, st.spec.to_dict())
-                self._flush_manifest()
-
-        def tick() -> None:
-            self._check_interrupt(None)
-
-        backend.execute(todo, self.engine, land=land, fail=fail, tick=tick)
-
-    # ------------------------------------------------------------------ #
-    # herd phase: everything rides the shared pool
-    # ------------------------------------------------------------------ #
-    def _herd_phase(self, todo: Dict[str, RunSpec],
-                    state: Dict[str, _SpecState],
-                    by_digest: Dict[str, RunOutcome]) -> List[str]:
-        """Run ``todo`` over the shared pool; returns pool-death suspects.
-
-        Suspects — the specs that were in flight whenever the pool died
-        — are *not* retried here, because blame is ambiguous in a shared
-        pool; they graduate to :meth:`_suspect_phase` isolation instead.
-        """
-        max_workers = min(max(1, self.engine.jobs), len(todo))
-        timeout = self.engine.timeout
-        pool = new_pool(max_workers)
-        queue = deque(todo)
-        inflight: Dict[object, str] = {}
-        deadlines: Dict[object, Optional[float]] = {}
-        suspects: List[str] = []
-
-        def to_suspects(victims: List[str],
-                        cause: BaseException) -> None:
-            for digest in victims:
-                st = state[digest]
-                st.last_error = cause
-                if len(victims) == 1:
-                    st.kills += 1  # sole occupant: blame is unambiguous
-                if digest not in suspects:
-                    suspects.append(digest)
-
-        def drain_survivors() -> List[str]:
-            """Land in-flight futures that finished before the pool died;
-            only the genuinely lost digests become suspects."""
-            return drain_finished(
-                inflight, deadlines,
-                lambda digest, run: self._land(digest, run, state,
-                                               by_digest))
-
-        try:
-            while queue or inflight:
-                self._check_interrupt(pool)
-                window = min(self.window, max_workers)
-                try:
-                    while queue and len(inflight) < window:
-                        digest = queue.popleft()
-                        future = pool.submit(self.engine._execute_fn,
-                                             todo[digest])
-                        inflight[future] = digest
-                        deadlines[future] = (
-                            time.monotonic() + timeout
-                            if timeout is not None else None)
-                except BrokenProcessPool as exc:
-                    to_suspects([digest] + drain_survivors(), exc)
-                    pool = self._rebuild_pool(pool, max_workers)
-                    continue
-                if not inflight:
-                    continue
-                wait_for = _POLL_INTERVAL
-                if timeout is not None:
-                    now = time.monotonic()
-                    wait_for = min(wait_for,
-                                   max(0.0, min(deadlines[f]
-                                                for f in inflight) - now))
-                done, _ = wait(set(inflight), timeout=wait_for,
-                               return_when=FIRST_COMPLETED)
-                broken: Optional[BaseException] = None
-                for future in sorted(done,
-                                     key=lambda f: f.exception() is not None):
-                    digest = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    exc = future.exception()
-                    if exc is None:
-                        self._land(digest, future.result(), state, by_digest)
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = exc
-                        to_suspects([digest] + drain_survivors(), exc)
-                        break
-                    else:
-                        self._ordinary_failure(digest, exc, state, by_digest,
-                                               requeue=queue)
-                if broken is not None:
-                    pool = self._rebuild_pool(pool, max_workers)
-                    continue
-                if timeout is not None and inflight:
-                    pool = self._enforce_deadlines(
-                        pool, max_workers, queue, inflight, deadlines,
-                        state, by_digest)
-        finally:
-            kill_workers(pool)
-        return suspects
-
-    def _enforce_deadlines(self, pool, max_workers, queue, inflight,
-                           deadlines, state, by_digest):
-        """Expire over-deadline futures; kill the pool if one is stuck."""
-        now = time.monotonic()
-        expired = [f for f in list(inflight)
-                   if deadlines[f] is not None and now >= deadlines[f]]
-        stuck = False
-        for future in expired:
-            if future.done():
-                continue  # finished in the race; collected next wait()
-            cause = FuturesTimeout(
-                f"exceeded {self.engine.timeout}s budget")
-            if future.cancel():
-                digest = inflight.pop(future)
-                deadlines.pop(future, None)
-                self._ordinary_failure(digest, cause, state, by_digest,
-                                       requeue=queue)
-            elif future.done():
-                # completed between the done() check and cancel();
-                # leave it in flight for the next wait() to collect
-                continue
+                raise RunFailure(spec, exc) from exc
+            status = (QUARANTINED if kills >= self.quarantine_threshold
+                      else classify_failure(exc))
+            outcome = by_digest[digest] = RunOutcome(
+                spec, digest, status, error=repr(exc),
+                attempts=ledger.attempts[digest], kills=kills)
+            if status == QUARANTINED:
+                log.error("[quarantine] %s parked after %d worker kills: "
+                          "%r", digest[:12], kills, exc)
+                if self.manifest is not None:
+                    self.manifest.mark_quarantined(digest, kills, repr(exc),
+                                                   spec.to_dict())
+                self._append_quarantine_file(digest, spec, kills, exc)
             else:
-                digest = inflight.pop(future)
-                deadlines.pop(future, None)
-                stuck = True
-                self._ordinary_failure(digest, cause, state, by_digest,
-                                       requeue=queue)
-        if stuck:
-            # a hung worker poisons the whole pool: kill it, requeue the
-            # innocent in-flight specs (no attempt charged), and rebuild
-            self.timeout_kills += 1
-            innocents = list(inflight.values())
-            inflight.clear()
-            deadlines.clear()
-            kill_workers(pool)
-            queue.extendleft(innocents)
-            self.rebuilds += 1
-            pool = new_pool(max_workers)
-        return pool
-
-    # ------------------------------------------------------------------ #
-    # suspect phase: one spec at a time, blame is unambiguous
-    # ------------------------------------------------------------------ #
-    def _suspect_phase(self, todo: Dict[str, RunSpec],
-                       state: Dict[str, _SpecState], suspects: List[str],
-                       by_digest: Dict[str, RunOutcome]) -> None:
-        for digest in suspects:
-            if digest in by_digest:
-                continue
-            spec, st = todo[digest], state[digest]
-            while digest not in by_digest:
-                self._check_interrupt(None)
-                pool = new_pool(1)
-                future = pool.submit(self.engine._execute_fn, spec)
-                try:
-                    run = self._solo_result(future, pool)
-                except BrokenProcessPool as exc:
-                    st.kills += 1
-                    st.last_error = exc
-                    self.pool_deaths += 1
-                    self._consecutive_deaths += 1
-                    self._clean_streak = 0
-                    log.warning("[campaign] %s killed its isolated worker "
-                                "(%d/%d)", digest[:12], st.kills,
-                                self.quarantine_threshold)
-                    if st.kills >= self.quarantine_threshold:
-                        self._quarantine(digest, st, by_digest)
-                    else:
-                        self._backoff()
-                except FuturesTimeout as exc:
-                    self.timeout_kills += 1
-                    self._ordinary_failure(digest, exc, state, by_digest)
-                except CampaignInterrupted:
-                    # a signal must stop the campaign, not be misfiled as
-                    # this spec's failure (it is a RuntimeError, so the
-                    # generic handler below would otherwise swallow it)
-                    raise
-                except Exception as exc:
-                    self._ordinary_failure(digest, exc, state, by_digest)
-                else:
-                    self._land(digest, run, state, by_digest)
-                finally:
-                    kill_workers(pool)
-
-    def _solo_result(self, future, pool):
-        """Wait for an isolated run, honouring signals and the timeout."""
-        deadline = (time.monotonic() + self.engine.timeout
-                    if self.engine.timeout is not None else None)
-        while True:
-            self._check_interrupt(pool)
-            try:
-                return future.result(timeout=_POLL_INTERVAL)
-            except FuturesTimeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise FuturesTimeout(
-                        f"exceeded {self.engine.timeout}s budget") from None
-
-    # ------------------------------------------------------------------ #
-    # shared bookkeeping
-    # ------------------------------------------------------------------ #
-    def _land(self, digest: str, run: BenchmarkRun,
-              state: Dict[str, _SpecState],
-              by_digest: Dict[str, RunOutcome]) -> None:
-        """A result arrived: commit, checkpoint, heal the window."""
-        self.engine._commit(digest, run)
-        self._land_bookkeeping(digest, run, state, by_digest)
-
-    def _land_bookkeeping(self, digest: str, run: BenchmarkRun,
-                          state: Dict[str, _SpecState],
-                          by_digest: Dict[str, RunOutcome]) -> None:
-        """Outcome, manifest and window bookkeeping for a landed result
-        (the commit itself already happened)."""
-        st = state[digest]
-        by_digest[digest] = RunOutcome(st.spec, digest, OK, run=run,
-                                       attempts=st.attempts + 1,
-                                       kills=st.kills)
-        self._consecutive_deaths = 0
-        self._clean_streak += 1
-        ceiling = max(1, self.engine.jobs)
-        if self._clean_streak >= self.heal_after and self.window < ceiling:
-            self.window = min(ceiling, self.window * 2)
-            self._clean_streak = 0
-            log.info("[campaign] sustained health: admission window "
-                     "restored to %d", self.window)
-        if self.manifest is not None:
-            self.manifest.mark_done(digest)
-            self._flush_manifest()
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(self)
-
-    def _ordinary_failure(self, digest: str, exc: BaseException,
-                          state: Dict[str, _SpecState],
-                          by_digest: Dict[str, RunOutcome],
-                          requeue: Optional[deque] = None) -> None:
-        """Charge one attempt; requeue while budget remains, else settle."""
-        st = state[digest]
-        st.attempts += 1
-        st.last_error = exc
-        if st.attempts <= self.engine.retries:
-            self.engine.stats.retries += 1
-            log.warning("[retries] resubmitting %s (%s) attempt %d/%d with "
-                        "a fresh %ss budget after %r", digest[:12],
-                        st.spec.describe(), st.attempts + 1,
-                        self.engine.retries + 1, self.engine.timeout, exc)
-            if requeue is not None:
-                requeue.append(digest)
-            return
-        self.engine.stats.failures += 1
-        status = classify_failure(exc)
-        if self.fail_policy == "abort":
-            self._flush_manifest()
-            raise RunFailure(st.spec, exc) from exc
-        by_digest[digest] = RunOutcome(st.spec, digest, status,
-                                       error=repr(exc), attempts=st.attempts,
-                                       kills=st.kills)
-        log.warning("[campaign] %s", by_digest[digest].describe())
-        if self.manifest is not None:
-            self.manifest.mark_failed(digest, status, repr(exc), st.attempts,
-                                      st.spec.to_dict())
+                log.warning("[campaign] %s", outcome.describe())
+                if self.manifest is not None:
+                    self.manifest.mark_failed(digest, status, repr(exc),
+                                              outcome.attempts,
+                                              spec.to_dict())
             self._flush_manifest()
 
-    def _quarantine(self, digest: str, st: _SpecState,
-                    by_digest: Dict[str, RunOutcome]) -> None:
-        self.engine.stats.failures += 1
-        if self.fail_policy == "abort":
-            self._flush_manifest()
-            raise RunFailure(st.spec, st.last_error)
-        by_digest[digest] = RunOutcome(st.spec, digest, QUARANTINED,
-                                       error=repr(st.last_error),
-                                       attempts=st.attempts, kills=st.kills)
-        log.error("[quarantine] %s parked after %d worker kills: %r",
-                  digest[:12], st.kills, st.last_error)
-        if self.manifest is not None:
-            self.manifest.mark_quarantined(digest, st.kills,
-                                           repr(st.last_error),
-                                           st.spec.to_dict())
-            self._flush_manifest()
-        self._append_quarantine_file(digest, st)
+        ledger = RetryLedger(todo, engine, land=land, fail=fail, policy=self)
+        backend.execute(ledger, tick=self._check_interrupt)
 
-    def _append_quarantine_file(self, digest: str, st: _SpecState) -> None:
+    def _append_quarantine_file(self, digest: str, spec: RunSpec,
+                                kills: int, error: BaseException) -> None:
         if self.quarantine_path is None:
             return
         path = Path(self.quarantine_path)
@@ -738,47 +418,9 @@ class Supervisor:
             except (OSError, ValueError):
                 entries = []
         entries = [e for e in entries if e.get("digest") != digest]
-        entries.append({"digest": digest, "spec": st.spec.to_dict(),
-                        "kills": st.kills,
-                        "last_failure": repr(st.last_error)})
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entries, fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # ------------------------------------------------------------------ #
-    # pool health: backoff, shedding, rebuild
-    # ------------------------------------------------------------------ #
-    def _rebuild_pool(self, dead_pool, max_workers: int):
-        """Backoff (exponential + jitter), shed concurrency, fresh pool."""
-        kill_workers(dead_pool)
-        self.pool_deaths += 1
-        self._consecutive_deaths += 1
-        self._clean_streak = 0
-        if self._consecutive_deaths >= self.halve_after and self.window > 1:
-            self.window = max(1, self.window // 2)
-            self.min_window = min(self.min_window, self.window)
-            log.warning("[campaign] %d consecutive pool deaths: admission "
-                        "window halved to %d", self._consecutive_deaths,
-                        self.window)
-        self._backoff()
-        self.rebuilds += 1
-        return new_pool(max_workers)
-
-    def _backoff(self) -> None:
-        exponent = min(max(0, self._consecutive_deaths - 1), 16)
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** exponent))
-        delay *= 1.0 + self.backoff_jitter * self._rng.random()
-        self.backoff_log.append(delay)
-        self.sleep_fn(delay)
+        entries.append({"digest": digest, "spec": spec.to_dict(),
+                        "kills": kills, "last_failure": repr(error)})
+        atomic_write(path, lambda fh: json.dump(entries, fh, indent=1))
 
     # ------------------------------------------------------------------ #
     # checkpointing and signals
@@ -815,14 +457,12 @@ class Supervisor:
     def _on_signal(self, signum, frame) -> None:
         self._interrupt = signum
 
-    def _check_interrupt(self, pool) -> None:
+    def _check_interrupt(self) -> None:
         """Raise :class:`CampaignInterrupted` after a checkpoint flush."""
         if self._interrupt is None:
             return
         signum, self._interrupt = self._interrupt, None
         self._flush_manifest()
-        if pool is not None:
-            kill_workers(pool)
         raise CampaignInterrupted(
             signum, str(self.manifest.path) if self.manifest else None)
 

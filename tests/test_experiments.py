@@ -14,6 +14,7 @@ from repro.experiments import (  # noqa: F401  (import check)
     table1_cost,
     table4_speedup,
 )
+from repro.runner import RunSpec, run_spec
 
 SCALE = 0.05
 CORES = 8
@@ -101,11 +102,12 @@ def test_table4_speedups_shape():
 
 
 def test_common_cache_returns_same_object():
-    a = common.run_benchmark("sctr", "mcs", n_cores=4, scale=SCALE)
-    b = common.run_benchmark("sctr", "mcs", n_cores=4, scale=SCALE)
+    spec = RunSpec.benchmark("sctr", "mcs", n_cores=4, scale=SCALE)
+    a = run_spec(spec)
+    b = run_spec(spec)
     assert a is b
     common.clear_cache()
-    c = common.run_benchmark("sctr", "mcs", n_cores=4, scale=SCALE)
+    c = run_spec(spec)
     assert c is not a
     # determinism across cache clears
     assert c.makespan == a.makespan

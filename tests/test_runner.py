@@ -296,16 +296,6 @@ def test_use_engine_scopes_the_active_engine():
     assert active_engine() is not inner
 
 
-def test_run_benchmark_shim_goes_through_active_engine():
-    from repro.experiments.common import run_benchmark
-
-    engine = Engine()
-    with use_engine(engine):
-        bench = run_benchmark("sctr", "glock", **SMALL)
-    assert engine.stats.executed == 1
-    assert bench.spec == small_spec()
-
-
 # --------------------------------------------------------------------- #
 # CLI end-to-end
 # --------------------------------------------------------------------- #
@@ -421,7 +411,7 @@ def test_timeout_kills_hung_worker_and_keeps_finished_results(tmp_path):
     with pytest.raises(RunFailure) as excinfo:
         engine.run_specs(specs)
     elapsed = _time.monotonic() - start
-    assert elapsed < 30  # _kill_workers reaped the sleeper; no 120s hang
+    assert elapsed < 30  # kill_workers reaped the sleeper; no 120s hang
     assert engine.stats.failures == 1
     assert excinfo.value.spec == specs[0]
     # commit-as-you-land: the fast specs survived the batch abort
@@ -429,3 +419,32 @@ def test_timeout_kills_hung_worker_and_keeps_finished_results(tmp_path):
     assert specs[1].digest() in cached
     assert specs[2].digest() in cached
     assert specs[0].digest() not in cached
+
+
+def _blame_execute(spec):
+    """Pool worker: the killer spec SIGKILLs its worker, others are slow."""
+    import os
+    import signal
+    import time as _time
+
+    params = dict(spec.workload_params)
+    if params.get("kill"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    _time.sleep(0.5)
+    return f"done:{params['idx']}"
+
+
+@pytest.mark.parametrize("killer_first", [False, True])
+def test_worker_death_blames_the_killer_not_its_neighbour(tmp_path,
+                                                          killer_first):
+    """Both specs die with the pool; solo re-runs name the killer, and
+    the innocent neighbour lands in the cache."""
+    healthy = RunSpec(workload="synth", workload_params={"idx": 0})
+    killer = RunSpec(workload="synth", workload_params={"idx": 1, "kill": 1})
+    specs = [killer, healthy] if killer_first else [healthy, killer]
+    engine = Engine(jobs=2, retries=0, execute_fn=_blame_execute,
+                    cache_dir=str(tmp_path))
+    with pytest.raises(RunFailure) as excinfo:
+        engine.run_specs(specs)
+    assert excinfo.value.spec == killer
+    assert healthy.digest() in set(ResultCache(tmp_path).digests())

@@ -114,6 +114,41 @@ def test_status_and_health_endpoints(service):
     assert any(job["job"] == reply["job"] for job in status["jobs"])
 
 
+def test_job_reads_finished_only_with_final_counters(service, monkeypatch):
+    """/jobs/<id> must not say done while executed/cache_hits are unset."""
+    snapshots = []
+    close = SamplePublisher.close
+
+    def snapshot_then_close(publisher):
+        (job,) = service.jobs.values()
+        snapshots.append(job.to_dict())
+        close(publisher)
+
+    monkeypatch.setattr(SamplePublisher, "close", snapshot_then_close)
+    reply = http_submit(service.url, SMOKE.replace("sctr, mctr", "sctr"))
+    status = _wait_done(service, reply["job"])
+    assert [s["status"] for s in snapshots] == ["running"]
+    assert (status["status"], status["executed"], status["cache_hits"]) \
+        == ("done", 2, 0)
+
+
+def test_kept_alive_connection_answers_without_delayed_ack(service):
+    """Headers and body must not wait on the client's delayed ACK."""
+    import http.client
+    import time
+
+    host, port = service.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        start = time.monotonic()
+        for _ in range(20):
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read() == b"ok\n"
+        assert time.monotonic() - start < 0.3
+    finally:
+        conn.close()
+
+
 def test_unknown_endpoints_404(service):
     import urllib.error
     with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -19,8 +19,8 @@ from repro.runner import (
 from repro.runner.outcome import (
     DEADLOCK, ERROR, OK, QUARANTINED, SANITIZER,
 )
+from repro.runner.backends import drain_finished
 from repro.runner.spec import canonical_json
-from repro.runner.supervisor import _SpecState
 
 SMALL = dict(n_cores=4, scale=0.05)
 
@@ -182,51 +182,46 @@ def test_collect_failed_specs_yield_none_runs(tmp_path, monkeypatch):
 # --------------------------------------------------------------------- #
 # adaptive admission window + backoff
 # --------------------------------------------------------------------- #
-def test_window_halves_on_deaths_and_heals_on_landings(tmp_path):
-    engine = Engine(jobs=4, cache_dir=str(tmp_path / "cache"))
+def test_window_halves_on_deaths_and_heals_on_landings(tmp_path, monkeypatch):
+    monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
+    engine = Engine(jobs=4, execute_fn=chaos_execute,
+                    cache_dir=str(tmp_path / "cache"))
     sup = _fast_supervisor(engine, halve_after=1, heal_after=2)
     assert sup.window == 4
 
-    class _DeadPool:  # just enough surface for Engine._kill_workers
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    pool = sup._rebuild_pool(_DeadPool(), max_workers=1)
-    pool.shutdown(wait=False)
+    # a lone crash_once spec kills its worker, then lands on the rebuild
+    sup.run_campaign([chaos_spec("crash_once", 0)])
     assert sup.window == 2
-    pool = sup._rebuild_pool(_DeadPool(), max_workers=1)
-    pool.shutdown(wait=False)
+    sup.run_campaign([chaos_spec("crash_once", 1)])
     assert sup.window == 1
     assert sup.min_window == 1
     assert sup.pool_deaths == 2 and sup.rebuilds == 2
 
     # two clean landings (heal_after=2) double the window back
-    state, by = {}, {}
-    for seed in range(4):
-        spec = small_spec(seed=seed)
-        state[spec.digest()] = _SpecState(spec)
-    for digest in list(state):
-        sup._land(digest, f"run:{digest[:6]}", state, by)
+    result = sup.run_campaign([chaos_spec("ok", idx) for idx in range(4)])
     assert sup.window == 4  # 1 -> 2 -> 4 over four landings
-    assert all(by[d].status == OK for d in state)
+    assert all(o.status == OK for o in result.outcomes)
 
 
-def test_backoff_schedule_is_deterministic_and_capped():
+def test_backoff_schedule_is_deterministic_and_capped(tmp_path, monkeypatch):
+    monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
+
     def recorder(log):
         return log.append
 
     slept_a, slept_b = [], []
-    engine = Engine(jobs=1)
+    engine = Engine(jobs=1, execute_fn=chaos_execute)
     a = Supervisor(engine, seed=7, backoff_base=0.25, backoff_cap=2.0,
                    backoff_jitter=0.5, sleep_fn=recorder(slept_a),
-                   install_signal_handlers=False)
+                   quarantine_threshold=7, install_signal_handlers=False)
     b = Supervisor(engine, seed=7, backoff_base=0.25, backoff_cap=2.0,
                    backoff_jitter=0.5, sleep_fn=recorder(slept_b),
-                   install_signal_handlers=False)
+                   quarantine_threshold=7, install_signal_handlers=False)
     for sup, slept in ((a, slept_a), (b, slept_b)):
-        for deaths in range(1, 7):
-            sup._consecutive_deaths = deaths
-            sup._backoff()
+        # poison kills every worker it meets: 6 rebuilds after 1..6
+        # consecutive deaths, then the 7th kill quarantines it
+        sup.run_campaign([chaos_spec("poison")])
+        assert len(slept) == 6
         assert slept == sup.backoff_log
     assert slept_a == slept_b  # same seed -> same jittered schedule
     assert slept_a[0] >= 0.25              # base delay, jitter only adds
@@ -404,30 +399,29 @@ class _StubFuture:
         return False
 
 
-def test_interrupt_during_suspect_phase_propagates(tmp_path, monkeypatch):
-    """CampaignInterrupted (a RuntimeError) raised while waiting on a
-    solo run must abort the campaign, not be misfiled as the suspect
+def test_interrupt_during_solo_rerun_propagates(tmp_path, monkeypatch):
+    """CampaignInterrupted (a RuntimeError) raised while a spec waits
+    for its solo re-run must abort the campaign, not be misfiled as that
     spec's 'error' failure."""
     monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
     engine = Engine(jobs=2, retries=0, execute_fn=chaos_execute)
-    sup = _fast_supervisor(engine, manifest_path=tmp_path / "m.json")
 
-    def interrupted_solo(self, future, pool):
-        raise CampaignInterrupted(signal.SIGTERM, str(tmp_path / "m.json"))
+    def signal_during_backoff(seconds):
+        sup._interrupt = signal.SIGTERM  # lands before the solo re-run
 
-    monkeypatch.setattr(Supervisor, "_solo_result", interrupted_solo)
-    spec = chaos_spec("ok", 0)
-    digest = spec.digest()
-    by_digest = {}
+    sup = _fast_supervisor(engine, manifest_path=tmp_path / "m.json",
+                           sleep_fn=signal_during_backoff)
+    spec = chaos_spec("crash_once")
     with pytest.raises(CampaignInterrupted):
-        sup._suspect_phase({digest: spec}, {digest: _SpecState(spec)},
-                           [digest], by_digest)
-    assert by_digest == {}             # no bogus failure outcome
+        sup.run_campaign([spec])
+    assert sup.outcomes == []          # no bogus failure outcome
     assert engine.stats.failures == 0  # no retry budget charged
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["pending"] == [spec.digest()]
 
 
 def test_pool_death_does_not_discard_finished_sibling():
-    """_drain_finished lands completed-successful futures; only truly
+    """drain_finished lands completed-successful futures; only truly
     lost specs are charged as victims/suspects."""
     landed = {}
     finished = _StubFuture(result="run-a")
@@ -435,18 +429,19 @@ def test_pool_death_does_not_discard_finished_sibling():
     errored = _StubFuture(exc=ValueError("boom"))
     inflight = {finished: "a", pending: "b", errored: "c"}
     deadlines = {finished: None, pending: None, errored: None}
-    victims = Engine._drain_finished(inflight, deadlines,
-                                     lambda d, r: landed.__setitem__(d, r))
+    victims = drain_finished(inflight, deadlines,
+                             lambda d, r: landed.__setitem__(d, r))
     assert landed == {"a": "run-a"}
     assert sorted(victims) == ["b", "c"]
     assert inflight == {} and deadlines == {}
 
 
-def test_deadline_cancel_race_leaves_completed_future_in_flight(tmp_path):
+def test_deadline_cancel_race_leaves_completed_future_in_flight(tmp_path,
+                                                                monkeypatch):
     """A future that completes between the done() check and cancel()
     must not be classified stuck (which would SIGKILL the pool and
     discard its result); it stays in flight for the next wait()."""
-    from collections import deque
+    from repro.runner import backends
 
     engine = Engine(jobs=2, timeout=0.01, cache_dir=str(tmp_path / "cache"))
     sup = _fast_supervisor(engine)
@@ -461,17 +456,31 @@ def test_deadline_cancel_race_leaves_completed_future_in_flight(tmp_path):
             return self.done_calls > 1  # completes right after the check
 
     future = _RacyFuture()
-    spec = small_spec()
-    digest = spec.digest()
-    inflight = {future: digest}
-    deadlines = {future: time.monotonic() - 1.0}
-    by_digest = {}
-    pool = object()  # must come back untouched: no kill, no rebuild
-    out_pool = sup._enforce_deadlines(pool, 2, deque(), inflight, deadlines,
-                                      {digest: _SpecState(spec)}, by_digest)
-    assert out_pool is pool       # pool not killed or rebuilt
-    assert future in inflight     # collected by the next wait()
-    assert by_digest == {}        # no timeout charged
+    pools = []
+
+    class _FakePool:  # hands the racy future to the pool loop
+        def submit(self, fn, spec):
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    def fake_new_pool(max_workers):
+        pools.append(_FakePool())
+        return pools[-1]
+
+    def fake_wait(fs, timeout=None, return_when=None):
+        if future.done_calls == 0:
+            time.sleep(0.05)            # the deadline passes unanswered
+            return set(), set(fs)
+        return set(fs), set()
+
+    monkeypatch.setattr(backends, "new_pool", fake_new_pool)
+    monkeypatch.setattr(backends, "wait", fake_wait)
+    (outcome,) = sup.run_campaign([small_spec()]).outcomes
+    assert len(pools) == 1          # pool not killed or rebuilt
+    assert outcome.run == "late"    # collected by the next wait()
+    assert outcome.attempts == 1    # no timeout charged
     assert sup.timeout_kills == 0
 
 
@@ -521,10 +530,9 @@ def test_supervisor_delegates_to_explicit_inline_backend(tmp_path):
     calls = []
 
     class SpyBackend(InlineBackend):
-        def execute(self, todo, engine, *, land=None, fail=None, tick=None):
-            calls.append(len(todo))
-            return super().execute(todo, engine, land=land, fail=fail,
-                                   tick=tick)
+        def execute(self, ledger, *, tick=None):
+            calls.append(len(ledger.todo))
+            return super().execute(ledger, tick=tick)
 
     engine = Engine(backend=SpyBackend())
     supervisor = Supervisor(engine, fail_policy="collect")
@@ -548,3 +556,29 @@ def test_supervisor_collects_outcomes_from_delegated_backend(tmp_path):
     assert not outcome.ok
     assert outcome.status == "error"
     assert "boom" in outcome.error
+
+
+def test_inline_backend_outcomes_count_every_attempt():
+    """A supervised inline spec reports each try against the retry budget."""
+    calls = []
+
+    def fails_twice(spec):
+        calls.append(spec)
+        if len(calls) <= 2:
+            raise RuntimeError(f"flake #{len(calls)}")
+        return "ok"
+
+    def always_fails(spec):
+        raise RuntimeError("boom")
+
+    engine = Engine(backend="inline", retries=2, execute_fn=fails_twice)
+    (outcome,) = _fast_supervisor(engine).run_campaign(
+        [small_spec()]).outcomes
+    assert outcome.status == OK
+    assert outcome.attempts == 3
+
+    engine = Engine(backend="inline", retries=2, execute_fn=always_fails)
+    (outcome,) = _fast_supervisor(engine).run_campaign(
+        [small_spec()]).outcomes
+    assert outcome.status == ERROR
+    assert outcome.attempts == 3
