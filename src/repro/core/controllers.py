@@ -55,10 +55,7 @@ class TokenManager:
                  gline_latency: int = 1,
                  arbitration: str = "round_robin",
                  fault_port=None) -> None:
-        if arbitration not in self.POLICIES:
-            raise ValueError(
-                f"unknown arbitration {arbitration!r}; choose from {self.POLICIES}"
-            )
+        self.check_arbitration(arbitration)
         self.sim = sim
         self.counters = counters
         self.name = name
@@ -79,6 +76,14 @@ class TokenManager:
         self.busy_child: Optional[int] = None
         self.rr_pos = 0
         self._requested_parent = False
+
+    @classmethod
+    def check_arbitration(cls, arbitration: str) -> None:
+        """Raise ``ValueError`` unless ``arbitration`` is a known policy."""
+        if arbitration not in cls.POLICIES:
+            raise ValueError(
+                f"unknown arbitration {arbitration!r}; choose from {cls.POLICIES}"
+            )
 
     # ------------------------------------------------------------------ #
     # topology construction

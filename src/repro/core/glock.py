@@ -13,7 +13,8 @@ more program locks than physical networks are statically multiplexed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Callable, Dict, Optional
 
 from repro.core.network import GLineNetwork
 from repro.sim.config import CMPConfig
@@ -24,7 +25,7 @@ __all__ = ["GLockDevice", "GLockPool"]
 
 
 class GLockDevice:
-    """One hardware GLock (one dedicated G-line network)."""
+    """One hardware GLock (one dedicated G-line network, wired on first use)."""
 
     # class-level defaults so stripped-down test doubles that bypass
     # __init__ still present a healthy, recovery-less device
@@ -34,21 +35,37 @@ class GLockDevice:
     def __init__(self, sim: Simulator, config: CMPConfig, counters: CounterSet,
                  lock_id: int = 0, levels: int = 2,
                  arbitration: str = "round_robin", faults=None) -> None:
+        GLineNetwork.check(config, levels, arbitration)
         self.sim = sim
+        self.config = config
         self.counters = counters
         self.lock_id = lock_id
-        self.network = GLineNetwork(sim, config, counters, lock_id, levels,
-                                    arbitration, faults=faults)
+        self.levels = levels
+        self.arbitration = arbitration
+        self.faults = faults
         self._holder: Optional[int] = None
         #: False once the recovery controller trips the device; unhealthy
         #: devices refuse acquires and callers use their software fallback
         self.healthy = True
-        if self.network.fault_port is not None:
+        if faults is not None:
+            # wired now: building the network arms its fault port, which
+            # schedules the plan's explicit faults
             from repro.faults.recovery import RecoveryController
             self._recovery = RecoveryController(
                 self, self.network.fault_port, faults.plan)
-        else:
-            self._recovery = None
+
+    @cached_property
+    def network(self) -> GLineNetwork:
+        """This device's G-line network, built the first time it is used."""
+        return GLineNetwork(self.sim, self.config, self.counters,
+                            self.lock_id, self.levels, self.arbitration,
+                            faults=self.faults)
+
+    @property
+    def waiters(self) -> Dict[int, Callable[[], None]]:
+        """Cores waiting for TOKEN, by core id (none while unwired)."""
+        network = vars(self).get("network")
+        return {} if network is None else network._token_callbacks
 
     # ------------------------------------------------------------------ #
     # the GL_Lock / GL_Unlock primitives

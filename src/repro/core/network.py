@@ -35,8 +35,7 @@ class GLineNetwork:
     def __init__(self, sim: Simulator, config: CMPConfig, counters: CounterSet,
                  lock_id: int = 0, levels: int = 2,
                  arbitration: str = "round_robin", faults=None) -> None:
-        if levels not in (2, 3):
-            raise ValueError("supported tree depths: 2 (paper) or 3 (hierarchical)")
+        self.check(config, levels, arbitration)
         self.sim = sim
         self.config = config
         self.counters = counters
@@ -53,15 +52,6 @@ class GLineNetwork:
         for core in range(config.n_cores):
             _, y = config.tile_coords(core)
             rows.setdefault(y, []).append(core)
-        for y, cores in rows.items():
-            # one core per row hosts the manager (internal flag), so a row of
-            # k cores needs k-1 transmitters + 1 receiver = k drops
-            if levels == 2 and len(cores) > max_drops:
-                raise ValueError(
-                    f"row {y} has {len(cores)} cores; a G-line supports "
-                    f"{max_drops} drops — use levels=3 (hierarchical) or a "
-                    "smaller mesh"
-                )
 
         self.root = TokenManager(sim, counters, f"R{lock_id}", latency,
                                  arbitration, fault_port=self.fault_port)
@@ -102,6 +92,26 @@ class GLineNetwork:
         if self.fault_port is not None:
             for mgr in self._all_managers():
                 self.fault_port.register_manager(mgr)
+
+    @staticmethod
+    def check(config: CMPConfig, levels: int = 2,
+              arbitration: str = "round_robin") -> None:
+        """Raise ``ValueError`` for a depth, row width (the G-line drop
+        limit) or arbitration policy this chip cannot wire."""
+        if levels not in (2, 3):
+            raise ValueError("supported tree depths: 2 (paper) or 3 (hierarchical)")
+        # one core per row hosts the manager (internal flag), so a row of
+        # k cores needs k-1 transmitters + 1 receiver = k drops; cores fill
+        # rows row-major, so row 0 is the widest
+        widest = config.mesh_width
+        max_drops = config.gline.max_drops
+        if levels == 2 and widest > max_drops:
+            raise ValueError(
+                f"row 0 has {widest} cores; a G-line supports "
+                f"{max_drops} drops — use levels=3 (hierarchical) or a "
+                "smaller mesh"
+            )
+        TokenManager.check_arbitration(arbitration)
 
     def _make_token_cb(self, core: int) -> Callable[[], None]:
         def deliver() -> None:

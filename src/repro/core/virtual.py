@@ -91,8 +91,7 @@ class DynamicGLockManager:
     @staticmethod
     def _quiescent(device: GLockDevice) -> bool:
         """True when nothing holds or waits on the device's network."""
-        return (device.holder is None
-                and not device.network._token_callbacks)
+        return device.holder is None and not device.waiters
 
 
 class VirtualGLock(Lock):

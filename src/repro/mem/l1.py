@@ -264,13 +264,10 @@ class L1Cache:
 
     def route_table(self) -> Dict[str, Callable[[Message], None]]:
         """Kind -> handler map for the tile dispatcher (one probe per msg)."""
-        table = {kind: self._on_fill
-                 for kind in (P.DATA, P.DATA_E, P.DATA_M, P.GRANT_M,
-                              P.DATA_C2C)}
-        table[P.INV] = self._on_inv
-        table[P.FWD_GETS] = self._handle_forward
-        table[P.FWD_GETM] = self._handle_forward
-        return table
+        fill, forward = self._on_fill, self._handle_forward
+        return {P.DATA: fill, P.DATA_E: fill, P.DATA_M: fill,
+                P.GRANT_M: fill, P.DATA_C2C: fill, P.INV: self._on_inv,
+                P.FWD_GETS: forward, P.FWD_GETM: forward}
 
     def _on_fill(self, msg: Message) -> None:
         """Data grant / upgrade grant / cache-to-cache fill delivery.

@@ -117,15 +117,12 @@ class L2DirectorySlice:
 
     def route_table(self) -> Dict[str, object]:
         """Kind -> handler map for the tile dispatcher (one probe per msg)."""
-        table = {kind: self._on_request
-                 for kind in (P.GETS, P.GETM, P.UPGRADE)}
-        table[P.INV_ACK] = self._on_inv_ack
-        table[P.UNBLOCK] = self._on_unblock
-        table[P.WB_DATA] = self._on_owner_notice
-        table[P.EVICT_CLEAN] = self._on_owner_notice
-        table[P.RECALL_DATA] = self._on_recall
-        table[P.RECALL_ACK] = self._on_recall
-        return table
+        request, notice, recall = (self._on_request, self._on_owner_notice,
+                                   self._on_recall)
+        return {P.GETS: request, P.GETM: request, P.UPGRADE: request,
+                P.INV_ACK: self._on_inv_ack, P.UNBLOCK: self._on_unblock,
+                P.WB_DATA: notice, P.EVICT_CLEAN: notice,
+                P.RECALL_DATA: recall, P.RECALL_ACK: recall}
 
     def _on_request(self, msg: Message) -> None:
         """GetS / GetM / Upgrade: start or queue a transaction."""

@@ -18,6 +18,7 @@ NoC traffic.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mem import protocol as _protocol
@@ -64,21 +65,19 @@ class Mesh:
         self.sim = sim
         self.config = config
         self.traffic = TrafficMeter()
-        self._links: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Link] = {}
         self._handlers: Dict[int, Callable[[Message], None]] = {}
-        # XY routes are static (the link set never changes after
-        # construction), so each (src, dst) pair is walked exactly once
+        # XY routes are static (the link set never changes once built),
+        # so each (src, dst) pair is walked exactly once
         self._route_cache: Dict[Tuple[int, int], List[Link]] = {}
         # serialization cycles per message size (a handful of sizes exist)
         self._ser_cache: Dict[int, int] = {}
         self._router_latency = config.noc.router_latency
-        self._build_links()
         # Compiled fast path: when the simulator is the compiled backend,
         # routing, link reservation and traffic accounting all run inside
-        # the C MeshCore and ``send`` is rebound to it wholesale.  The
-        # Link objects above stay authoritative for route() geometry; the
-        # core's link state is read back through the shared index formula
-        # (see link_bytes).
+        # the C MeshCore and ``send`` is rebound to it wholesale.  The core
+        # owns every link's state, so a compiled run never builds the Link
+        # objects; link_bytes reads the core back through the shared index
+        # formula.
         self._core = None
         impl = compiled_impl()
         if impl is not None and type(sim) is impl.Simulator:
@@ -92,14 +91,18 @@ class Mesh:
             self.send_proto = self._core.send_proto
             traffic._core = self._core
 
-    def _build_links(self) -> None:
+    @cached_property
+    def _links(self) -> Dict[Tuple[Tuple[int, int], Tuple[int, int]], Link]:
+        """Every directional link by ``(u, v)``, built on first use."""
+        links = {}
         w, h = self.config.mesh_width, self.config.mesh_height
         for y in range(h):
             for x in range(w):
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                     nx, ny = x + dx, y + dy
                     if 0 <= nx < w and 0 <= ny < h:
-                        self._links[((x, y), (nx, ny))] = Link((x, y), (nx, ny))
+                        links[((x, y), (nx, ny))] = Link((x, y), (nx, ny))
+        return links
 
     # ------------------------------------------------------------------ #
     # endpoint registration

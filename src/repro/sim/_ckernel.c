@@ -2082,9 +2082,10 @@ static PyTypeObject TagArray_Type = {
 
 /* Link state lives in two flat C arrays indexed
  *     dir * (w*h) + y*w + x          (dir: 0=E, 1=W, 2=S, 3=N)
- * where (x, y) is the link's *source* tile; the Python Mesh keeps its
- * Link objects only for route() geometry and reads carried bytes back
- * through carried_list() with the same index formula. */
+ * where (x, y) is the link's *source* tile.  send() derives each XY
+ * hop's index from the tile coordinates as it walks the route, so link
+ * state stays O(w*h) at any mesh size; the Python Mesh reads carried
+ * bytes back through carried_list() with the same index formula. */
 
 typedef struct {
     PyObject_HEAD
@@ -2095,7 +2096,6 @@ typedef struct {
     long long *next_free;       /* 4*w*h */
     long long *carried;         /* 4*w*h */
     PyObject **handlers;        /* ntiles entries, NULL = unregistered */
-    int32_t **routes;           /* ntiles*ntiles, each NULL or [n, i0..] */
     PyObject *per_cat;          /* dict MsgCategory -> (switch_c, msgs_c) */
     PyObject *byte_hops;        /* BoundCounter */
     PyObject *link_traversals;  /* BoundCounter */
@@ -2144,20 +2144,17 @@ cmesh_init(CMeshCore *self, PyObject *args, PyObject *kwds)
     long long *carried = PyMem_Calloc((size_t)(4 * ntiles),
                                       sizeof(long long));
     PyObject **handlers = PyMem_Calloc((size_t)ntiles, sizeof(PyObject *));
-    int32_t **routes = PyMem_Calloc((size_t)ntiles * (size_t)ntiles,
-                                    sizeof(int32_t *));
     PyObject **cat_objs = PyMem_Calloc((size_t)(n_cats ? n_cats : 1),
                                        sizeof(PyObject *));
     long long *cat_sw = PyMem_Calloc((size_t)(n_cats ? n_cats : 1),
                                      sizeof(long long));
     long long *cat_msgs = PyMem_Calloc((size_t)(n_cats ? n_cats : 1),
                                        sizeof(long long));
-    if (!next_free || !carried || !handlers || !routes
+    if (!next_free || !carried || !handlers
             || !cat_objs || !cat_sw || !cat_msgs) {
         PyMem_Free(next_free);
         PyMem_Free(carried);
         PyMem_Free(handlers);
-        PyMem_Free(routes);
         PyMem_Free(cat_objs);
         PyMem_Free(cat_sw);
         PyMem_Free(cat_msgs);
@@ -2181,11 +2178,6 @@ cmesh_init(CMeshCore *self, PyObject *args, PyObject *kwds)
     PyMem_Free(self->cat_objs);
     PyMem_Free(self->cat_sw);
     PyMem_Free(self->cat_msgs);
-    if (self->routes != NULL)
-        for (long long i = 0;
-             i < (long long)self->ntiles * self->ntiles; i++)
-            PyMem_Free(self->routes[i]);
-    PyMem_Free(self->routes);
     PyMem_Free(self->next_free);
     PyMem_Free(self->carried);
 
@@ -2199,7 +2191,6 @@ cmesh_init(CMeshCore *self, PyObject *args, PyObject *kwds)
     self->next_free = next_free;
     self->carried = carried;
     self->handlers = handlers;
-    self->routes = routes;
     self->n_cats = n_cats;
     self->cat_objs = cat_objs;
     self->cat_sw = cat_sw;
@@ -2230,48 +2221,6 @@ cmesh_register(CMeshCore *self, PyObject *args)
     }
     self->handlers[tile] = Py_NewRef(handler);
     Py_RETURN_NONE;
-}
-
-/* XY route as link indices; cached per (src, dst).  Layout: [n, i0..in-1] */
-static int32_t *
-cmesh_route_idx(CMeshCore *self, long src, long dst)
-{
-    int32_t **slot = &self->routes[(long long)src * self->ntiles + dst];
-    if (*slot != NULL)
-        return *slot;
-    long w = self->w, wh = self->ntiles;
-    long x = src % w, y = src / w;
-    long dx = dst % w, dy = dst / w;
-    int32_t *buf = PyMem_Malloc((size_t)(self->w + self->h + 1)
-                                * sizeof(int32_t));
-    if (buf == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    int32_t n = 0;
-    while (x != dx) {
-        if (dx > x) {
-            buf[++n] = (int32_t)(0 * wh + y * w + x);   /* east */
-            x++;
-        }
-        else {
-            buf[++n] = (int32_t)(1 * wh + y * w + x);   /* west */
-            x--;
-        }
-    }
-    while (y != dy) {
-        if (dy > y) {
-            buf[++n] = (int32_t)(2 * wh + y * w + x);   /* south */
-            y++;
-        }
-        else {
-            buf[++n] = (int32_t)(3 * wh + y * w + x);   /* north */
-            y--;
-        }
-    }
-    buf[0] = n;
-    *slot = buf;
-    return buf;
 }
 
 /* counter.value += amount on a BoundCounter (or anything with .value) */
@@ -2382,15 +2331,28 @@ cmesh_send(CMeshCore *self, PyObject *msg)
         return PyLong_FromLongLong(arrival);
     }
 
-    long ser = (size + self->link_width - 1) / self->link_width;
-    int32_t *route = cmesh_route_idx(self, src, dst);
-    if (route == NULL)
+    if (src < 0 || src >= self->ntiles) {
+        PyErr_Format(PyExc_ValueError, "core id %ld out of range", src);
         return NULL;
-    int32_t hops = route[0];
+    }
+    long ser = (size + self->link_width - 1) / self->link_width;
+    long w = self->w, wh = self->ntiles;
+    long x = src % w, y = src / w;
+    long dx = dst % w, dy = dst / w;
+    long hops = labs(dx - x) + labs(dy - y);
     long long per_hop = self->router_latency + ser;
     long long t = now;
-    for (int32_t i = 1; i <= hops; i++) {
-        int32_t li = route[i];
+    while (x != dx || y != dy) {
+        /* XY routing, X first; the link is indexed by its source tile */
+        long li;
+        if (x != dx) {
+            li = (dx > x ? 0 : wh) + y * w + x;
+            x += dx > x ? 1 : -1;
+        }
+        else {
+            li = (dy > y ? 2 * wh : 3 * wh) + y * w + x;
+            y += dy > y ? 1 : -1;
+        }
         long long next_free = self->next_free[li];
         long long depart = t >= next_free ? t : next_free;
         self->next_free[li] = depart + ser;
@@ -2540,11 +2502,6 @@ cmesh_dealloc(CMeshCore *self)
 {
     PyObject_GC_UnTrack(self);
     cmesh_clear_gc(self);
-    if (self->routes != NULL)
-        for (long long i = 0;
-             i < (long long)self->ntiles * self->ntiles; i++)
-            PyMem_Free(self->routes[i]);
-    PyMem_Free(self->routes);
     PyMem_Free(self->handlers);
     PyMem_Free(self->next_free);
     PyMem_Free(self->carried);

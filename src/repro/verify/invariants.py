@@ -111,7 +111,7 @@ class InvariantSanitizer:
         n_cores = self.machine.config.n_cores
         for device in self.machine.glocks.devices:
             holder = device.holder
-            waiters = device.network._token_callbacks
+            waiters = device.waiters
             if holder is not None:
                 if not 0 <= holder < n_cores:
                     raise InvariantViolation(
@@ -176,10 +176,10 @@ class InvariantSanitizer:
                 raise InvariantViolation(
                     f"GLock {device.lock_id}: still held by core "
                     f"{device.holder} after the parallel phase")
-            if device.network._token_callbacks:
+            if device.waiters:
                 raise InvariantViolation(
                     f"GLock {device.lock_id}: cores "
-                    f"{sorted(device.network._token_callbacks)} still wait "
+                    f"{sorted(device.waiters)} still wait "
                     "for a TOKEN after the parallel phase")
 
 

@@ -183,16 +183,17 @@ class KVStoreServing(ServingWorkload):
         plans: List[Tuple[List[int], List[Tuple[bool, int]]]] = []
         for core in range(n):
             arrivals = self.arrivals_for(core, n)
-            op_rng = self._rng(core, salt=1)
+            # the op stream is seeded only for a core with arrivals
+            op_rng = self._rng(core, salt=1) if arrivals else None
             ops = [(op_rng.random() < self.put_fraction,
                     op_rng.randrange(self.n_keys)) for _ in arrivals]
             plans.append((arrivals, ops))
 
         def make_timed_program(core_id: int) -> Callable:
             arrivals, ops = plans[core_id]
-            rng = self._rng(core_id, salt=2)
 
             def program(ctx):
+                rng = None  # backoff stream, seeded on the first timeout
                 puts = 0
                 for index, arrival in enumerate(arrivals):
                     if arrival > ctx.sim.now:
@@ -210,6 +211,7 @@ class KVStoreServing(ServingWorkload):
                             lock, timeout=min(slice_, remaining))
                         if granted:
                             break
+                        rng = rng or self._rng(core_id, salt=2)
                         pause = min(rng.randrange(backoff_base,
                                                   2 * backoff_base)
                                     * (attempt + 1),
@@ -330,9 +332,9 @@ class MessageQueueServing(ServingWorkload):
 
         def make_producer(core_id: int) -> Callable:
             arrivals = arrival_lists[core_id]
-            rng = self._rng(core_id, salt=2)
 
             def program(ctx):
+                rng = None  # backoff stream, seeded on the first timeout
                 accepted = 0
                 for arrival in arrivals:
                     if arrival > ctx.sim.now:
@@ -351,6 +353,7 @@ class MessageQueueServing(ServingWorkload):
                                 lock, timeout=min(slice_, remaining))
                             if granted:
                                 break
+                            rng = rng or self._rng(core_id, salt=2)
                             pause = min(rng.randrange(backoff_base,
                                                       2 * backoff_base)
                                         * (attempt + 1),
@@ -484,7 +487,8 @@ class WebServerServing(ServingWorkload):
         plans: List[Tuple[List[int], List[int]]] = []
         for core in range(n):
             arrivals = self.arrivals_for(core, n)
-            svc_rng = self._rng(core, salt=1)
+            # the service-time stream is seeded only for a core with arrivals
+            svc_rng = self._rng(core, salt=1) if arrivals else None
             services = [self.service_base
                         + svc_rng.randrange(self.service_jitter + 1)
                         for _ in arrivals]
@@ -492,9 +496,9 @@ class WebServerServing(ServingWorkload):
 
         def make_program(core_id: int) -> Callable:
             arrivals, services = plans[core_id]
-            rng = self._rng(core_id, salt=2)
 
             def program(ctx):
+                rng = None  # backoff stream, seeded on the first timeout
                 handled = 0
                 for index, arrival in enumerate(arrivals):
                     if arrival > ctx.sim.now:
@@ -513,6 +517,7 @@ class WebServerServing(ServingWorkload):
                                 lock, timeout=min(slice_, remaining))
                             if granted:
                                 break
+                            rng = rng or self._rng(core_id, salt=2)
                             pause = min(rng.randrange(backoff_base,
                                                       2 * backoff_base)
                                         * (attempt + 1),

@@ -1,11 +1,13 @@
 """Unit and property tests for the 2D-mesh NoC."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc import Mesh, Message, MsgCategory
-from repro.sim import CMPConfig, Simulator
+from repro.noc import Mesh, Message, MsgCategory, messages
+from repro.sim import CMPConfig, Simulator, kernel
 
 
 def make_mesh(n_cores=16):
@@ -143,3 +145,68 @@ def test_route_and_delivery_properties(src, dst, size):
     else:
         assert t == hops * (cfg.noc.router_latency + ser)
         assert mesh.traffic.switch_bytes(MsgCategory.REPLY) == size * (hops + 1)
+
+
+# --------------------------------------------------------------------- #
+# pure vs compiled mesh, link by link
+# --------------------------------------------------------------------- #
+_SIZES = (8, 72, 160)   # 1, 1 and 3 serialization cycles on 75-byte links
+_CATEGORIES = tuple(MsgCategory)
+
+
+def _all_pairs_stream(backend, n_cores):
+    """Every (src, dst) pair as one shuffled stream, 16 sends per cycle.
+
+    Returns what the mesh reports: each message's delivery cycle
+    (checked against the one ``send`` predicted), the per-link byte map,
+    byte-hops and the category breakdown.
+    """
+    prev = kernel.active_backend()
+    kernel.set_backend(backend)
+    try:
+        sim = Simulator()
+        mesh = Mesh(sim, CMPConfig.baseline(n_cores))
+        delivered = {}
+        for tile in range(n_cores):
+            mesh.register(
+                tile, lambda m: delivered.__setitem__(m.payload, sim.now))
+        predicted = {}
+
+        def inject(i, src, dst):
+            msg = messages.Message(src=src, dst=dst, kind="GetS",
+                                   category=_CATEGORIES[i % 3],
+                                   size_bytes=_SIZES[i % 3], payload=i)
+            predicted[i] = mesh.send(msg)
+
+        pairs = [(s, d) for s in range(n_cores) for d in range(n_cores)]
+        random.Random(n_cores).shuffle(pairs)
+        for i, (src, dst) in enumerate(pairs):
+            sim.schedule_at(i // 16, inject, i, src, dst)
+        sim.run()
+        assert delivered == predicted
+        assert len(delivered) == n_cores * n_cores
+        return (delivered, mesh.link_bytes, mesh.traffic.byte_hops,
+                mesh.traffic.breakdown())
+    finally:
+        kernel.set_backend(prev)
+
+
+@pytest.mark.parametrize("n_cores, shape", [(32, (6, 6)), (128, (12, 11))],
+                         ids=["6x6", "12x11"])
+def test_compiled_mesh_matches_pure_link_by_link(n_cores, shape):
+    """The compiled core computes each XY hop's link index inline; on
+    meshes with empty tiles (6x6 for 32 cores, the non-square 12x11 for
+    128) it must deliver, load links and count byte-hops as the pure
+    mesh's Link objects do."""
+    if "compiled" not in kernel.available_backends():
+        pytest.skip("compiled backend not built on this machine")
+    pure = _all_pairs_stream("pure", n_cores)
+    compiled = _all_pairs_stream("compiled", n_cores)
+    cfg = CMPConfig.baseline(n_cores)
+    assert (cfg.mesh_width, cfg.mesh_height) == shape
+    delivered, link_bytes, byte_hops, breakdown = pure
+    assert sum(link_bytes.values()) == byte_hops > 0
+    assert compiled[0] == delivered
+    assert compiled[1] == link_bytes
+    assert compiled[2] == byte_hops
+    assert compiled[3] == breakdown
