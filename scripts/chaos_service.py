@@ -19,7 +19,9 @@ Schedules (``--schedule`` runs one, default all):
 - ``hang-worker``   — one "worker" accepts specs and never replies;
   its leases break and the breaker retires it.
 - ``kill-daemon``   — SIGKILL the campaign daemon mid-job, restart with
-  ``--resume-journal``; only never-landed specs re-execute.
+  ``--resume-journal``; only never-landed specs re-execute.  Runs once
+  inline and once with ``--jobs 2``, where the killed daemon's pool
+  workers must exit with it.
 - ``slow-network``  — a delaying TCP proxy sits between the backend and
   its worker; heartbeats keep leases alive despite the latency.
 
@@ -45,6 +47,7 @@ import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(1, str(REPO))
 
 from repro.runner import Engine  # noqa: E402
 from repro.runner.config import expand_campaign  # noqa: E402
@@ -53,6 +56,7 @@ from repro.runner.publisher import SamplePublisher  # noqa: E402
 from repro.runner.remote import RemoteBackend  # noqa: E402
 from repro.runner.service import (http_get_json, http_get_text,  # noqa: E402
                                   http_submit)
+from tests.procs import children, still_running  # noqa: E402
 
 CAMPAIGN = """
 campaign: chaos-service
@@ -212,12 +216,17 @@ def schedule_hang_worker(workdir, campaign, reference, rng):
 
 
 def schedule_kill_daemon(workdir, campaign, reference, rng):
-    tmp = workdir / "kill-daemon"
+    for jobs in (1, 2):
+        kill_daemon(workdir / f"kill-daemon-jobs{jobs}", jobs, campaign,
+                    reference)
+
+
+def kill_daemon(tmp, jobs, campaign, reference):
     tmp.mkdir()
     journal_path = tmp / "journal.jsonl"
     serve_args = ["serve", "--port", "0", "--cache-dir", str(tmp / "cache"),
                   "--results-dir", str(tmp / "results"),
-                  "--journal", str(journal_path)]
+                  "--journal", str(journal_path), "--jobs", str(jobs)]
     daemon, line = _start(serve_args, "campaign service listening")
     url = line.split("listening on ")[1].split()[0]
     try:
@@ -228,11 +237,19 @@ def schedule_kill_daemon(workdir, campaign, reference, rng):
                     and "spec_landed" in journal_path.read_text()):
                 break
             time.sleep(0.01)
+        workers = children(daemon.pid)
         daemon.send_signal(signal.SIGKILL)
         daemon.wait(timeout=15)
     finally:
         if daemon.poll() is None:
             daemon.kill()
+    if jobs > 1:
+        assert workers, "the pooled daemon had no worker processes"
+    orphans = still_running(workers, within=5.0)
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans, (
+        f"pool workers {sorted(orphans)} outlived the killed daemon")
 
     job_id = reply["job"]
     crashed = replay_journal(journal_path)[job_id]
@@ -262,8 +279,9 @@ def schedule_kill_daemon(workdir, campaign, reference, rng):
                       if '"spec_landed"' in line]
     assert len(landed_records) == len(reply["digests"]), (
         "journal must hold exactly one spec_landed per digest")
-    print(f"  kill-daemon ok: killed after {landed_before} landings, "
-          f"recovery executed {status['executed']} "
+    print(f"  kill-daemon ok (--jobs {jobs}): killed after "
+          f"{landed_before} landings, {len(workers)} pool worker(s) exited "
+          f"with the daemon, recovery executed {status['executed']} "
           f"(cache_hits={status['cache_hits']})")
 
 

@@ -7,9 +7,10 @@ the remaining specs execute:
 - :class:`InlineBackend` — in this process, one spec at a time (the
   classic ``jobs=1`` path);
 - :class:`ProcessPoolBackend` — the runner's one pool loop, fanned over
-  a :class:`~concurrent.futures.ProcessPoolExecutor` with per-run
-  deadlines and the :class:`PoolPolicy` for worker deaths (the classic
-  ``jobs>1`` path, and every supervised campaign);
+  a :class:`~concurrent.futures.ProcessPoolExecutor` kept across
+  batches, with per-run deadlines and the :class:`PoolPolicy` for
+  worker deaths (the classic ``jobs>1`` path, and every supervised
+  campaign);
 - :class:`~repro.runner.remote.RemoteBackend` — socket-protocol workers
   started with ``repro-sim worker``, sharing the digest-keyed result
   cache (lives in :mod:`repro.runner.remote`).
@@ -41,8 +42,12 @@ instead and the batch keeps going.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import multiprocessing.connection
+import os
 import random
 import signal as _signal
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -64,6 +69,9 @@ BACKEND_NAMES = ("auto", "inline", "process-pool", "remote")
 #: how often the pool loop polls for signals and deadlines (seconds)
 _POLL_INTERVAL = 0.1
 
+#: how often a pool worker checks that its parent is still alive (seconds)
+_PARENT_POLL = 0.5
+
 LandFn = Callable[[str, object], None]
 FailFn = Callable[[str, BaseException], None]
 TickFn = Callable[[], None]
@@ -72,34 +80,50 @@ TickFn = Callable[[], None]
 # ---------------------------------------------------------------------- #
 # process-pool plumbing
 # ---------------------------------------------------------------------- #
-def pool_worker_init() -> None:
-    """Restore default SIGINT/SIGTERM dispositions in pool workers.
+def pool_worker_init(parent: int) -> None:
+    """Set up a pool worker: default signals, and exit with ``parent``.
 
     Workers fork from a process that may have the campaign supervisor's
-    checkpoint handlers installed; inheriting those would make a worker
-    swallow ``terminate()`` and survive :func:`kill_workers`.
+    SIGINT/SIGTERM checkpoint handlers installed; inheriting those would
+    make a worker swallow ``terminate()`` and survive
+    :func:`kill_workers`, so the defaults go back.
+
+    Workers also outlive batches (see :class:`ProcessPoolBackend`), so a
+    SIGKILLed parent would orphan them, idle on the call queue for good.
+    A daemon thread polls ``os.getppid()`` and exits the worker once
+    ``parent`` is no longer its parent.
     """
     for signum in (_signal.SIGINT, _signal.SIGTERM):
         try:
             _signal.signal(signum, _signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     name="exit-with-parent", daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL)
+    os._exit(1)
 
 
 def new_pool(max_workers: int) -> ProcessPoolExecutor:
-    """A pool whose workers restore default signal dispositions.
+    """A pool of workers forked from this process.
 
-    Workers are forked from the campaign process, so they inherit any
-    SIGINT/SIGTERM checkpoint handlers the supervisor installed — which
-    would shield a hung worker from ``terminate()``.  The initializer
-    puts the defaults back.
+    The start method is pinned to fork whatever the platform default
+    (forkserver from Python 3.14): :func:`pool_worker_init` watches for
+    this process's pid as the worker's parent, and a fork server's
+    children would see it missing at once and exit.
     """
     return ProcessPoolExecutor(max_workers=max_workers,
-                               initializer=pool_worker_init)
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=pool_worker_init,
+                               initargs=(os.getpid(),))
 
 
 def kill_workers(pool: ProcessPoolExecutor) -> None:
-    """Kill stuck workers so shutdown() cannot hang on a timeout.
+    """Kill the pool's workers, so shutdown() cannot hang on a stuck one.
 
     SIGKILL, not SIGTERM: a worker that inherited (or installed) a
     termination handler must still die.  Workers are killed *before*
@@ -114,6 +138,17 @@ def kill_workers(pool: ProcessPoolExecutor) -> None:
         except Exception:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _lost_a_worker(pool: ProcessPoolExecutor) -> bool:
+    """True when the pool broke or one of its workers has exited.
+
+    A worker's sentinel is ready as soon as it has exited, before the
+    executor notices and marks the pool broken; reading it reaps nothing.
+    """
+    sentinels = [proc.sentinel for proc in pool._processes.values()]
+    return bool(pool._broken) or bool(
+        multiprocessing.connection.wait(sentinels, timeout=0))
 
 
 def drain_finished(inflight: Dict[object, str],
@@ -356,6 +391,22 @@ class InlineBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Fan specs over a process pool: the runner's one pool loop.
 
+    The pool lives as long as the backend: the first batch that needs it
+    forks ``jobs`` workers and every later batch reuses them.  It is
+    killed (and forked again while work remains) after a worker death
+    or a stuck-worker kill, and when a batch ends by an exception
+    (``RunFailure``, ``CampaignInterrupted``, an aborting hook), so no
+    spec still running crosses into the next batch.  A worker that died
+    while the pool sat idle is noticed before the next batch submits
+    anything, so it costs no spec an attempt.  :meth:`close` kills the
+    pool, and workers exit by themselves when this process dies (see
+    :func:`pool_worker_init`).
+
+    Workers fork once, so state this process changes after the first
+    batch (``kernel.set_backend``, environment variables) does not
+    reach them; a new backend forks new workers.  A backend runs one
+    batch at a time.
+
     Collection is ``wait()``-driven, so finished futures land the moment
     they complete — one slow or hung spec never head-of-line-blocks the
     others.  Each (re)submission gets its own wall-clock deadline
@@ -383,23 +434,32 @@ class ProcessPoolBackend(ExecutionBackend):
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def close(self) -> None:
+        """Kill the workers; a later batch forks new ones."""
+        if self._pool is not None:
+            kill_workers(self._pool)
+            self._pool = None
 
     def execute(self, ledger, *, tick=None):
         engine, policy, todo = ledger.engine, ledger.policy, ledger.todo
-        jobs = self.jobs if self.jobs is not None else engine.jobs
-        max_workers = min(max(1, jobs), len(todo))
+        max_workers = self.jobs or engine.jobs
         timeout = engine.timeout
         queue = ledger.queue
         solo: Deque[str] = deque()                # specs that must run alone
         alone = None                              # the future running alone
         inflight: Dict[object, str] = {}          # future -> digest
         deadlines: Dict[object, Optional[float]] = {}
-        pool: Optional[ProcessPoolExecutor] = new_pool(max_workers)
+        if self._pool is not None and _lost_a_worker(self._pool):
+            self.close()  # a worker died idle: replace it, unblamed
+        if self._pool is None:
+            self._pool = new_pool(max_workers)
 
         def submit(source: Deque[str]):
             digest = source.popleft()
             try:
-                future = pool.submit(engine._execute_fn, todo[digest])
+                future = self._pool.submit(engine._execute_fn, todo[digest])
             except BrokenProcessPool:
                 source.appendleft(digest)  # it never reached a worker
                 raise
@@ -414,14 +474,12 @@ class ProcessPoolBackend(ExecutionBackend):
 
         def restart(backoff: bool) -> None:
             """Kill the pool; rebuild it (after a backoff) if work remains."""
-            nonlocal pool
-            kill_workers(pool)
-            pool = None
+            self.close()
             if queue or solo:
                 if backoff:
                     policy.backoff()
                 policy.rebuilds += 1
-                pool = new_pool(max_workers)
+                self._pool = new_pool(max_workers)
 
         def died(exc: BaseException) -> None:
             """The pool is dead: land what finished, blame what was lost."""
@@ -505,11 +563,10 @@ class ProcessPoolBackend(ExecutionBackend):
                     died(broken)
                 elif timeout is not None and inflight:
                     expire()
-        finally:
-            # terminate rather than join: a stuck or half-dead worker must
-            # never be able to hang shutdown
-            if pool is not None:
-                kill_workers(pool)
+        except BaseException:
+            # whatever is still running must not land in the next batch
+            self.close()
+            raise
         return ledger.out
 
 

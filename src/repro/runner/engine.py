@@ -135,7 +135,8 @@ class Engine:
 
     Args:
         jobs: worker processes; 1 runs inline in this process (under the
-            default ``backend="auto"`` selection).
+            default ``backend="auto"`` selection).  Workers fork at the
+            first pooled batch and are kept until :meth:`close`.
         cache_dir: root of the persistent result cache; ``None`` disables
             disk caching (the in-process memo always applies).
         timeout: per-run wall-clock seconds (enforced by the pool and
@@ -240,9 +241,10 @@ class Engine:
         self.stats = EngineStats()
 
     def close(self) -> None:
-        """Release the backend's resources (remote connections, pools)."""
+        """Release the backends' resources (remote connections, pools)."""
         if self.backend is not None:
             self.backend.close()
+        self._auto_pool.close()
 
     def summary(self) -> str:
         """One grep-friendly line: what ran, what came from which cache."""

@@ -2,7 +2,12 @@
 parallel execution, retry, and the CLI surface of ``repro.runner``."""
 
 import json
+import os
+import pathlib
 import pickle
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +21,9 @@ from repro.runner import (
     use_engine,
 )
 from repro.runner.spec import canonical_json
+from tests.procs import HAVE_PROC_CHILDREN, still_running
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 SMALL = dict(n_cores=4, scale=0.05)
 
@@ -448,3 +456,98 @@ def test_worker_death_blames_the_killer_not_its_neighbour(tmp_path,
         engine.run_specs(specs)
     assert excinfo.value.spec == killer
     assert healthy.digest() in set(ResultCache(tmp_path).digests())
+
+
+# --------------------------------------------------------------------- #
+# engine: long-lived pool workers
+# --------------------------------------------------------------------- #
+_ORPHANING_PARENT = """
+import os, signal, sys, threading, time
+from repro.runner import Engine, RunSpec
+from tests.procs import children
+
+def slow_execute(spec):
+    time.sleep(1.0)
+    return spec.workload_params
+
+def die_mid_batch(record):
+    while len(children(os.getpid())) < 2:
+        time.sleep(0.02)
+    time.sleep(0.3)  # both workers are inside a spec now
+    with open(record, "w") as fh:
+        fh.write(" ".join(map(str, children(os.getpid()))))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+threading.Thread(target=die_mid_batch, args=(sys.argv[1],),
+                 daemon=True).start()
+Engine(jobs=2, execute_fn=slow_execute).run_specs(
+    [RunSpec(workload="synth", workload_params={"idx": i})
+     for i in range(4)])
+"""
+
+
+@pytest.mark.skipif(not HAVE_PROC_CHILDREN, reason="needs Linux /proc")
+def test_pool_workers_exit_when_their_parent_dies(tmp_path):
+    """SIGKILL the engine's process mid-batch: its workers must not live
+    on as orphans (kept workers would otherwise pile up with every
+    killed daemon)."""
+    record = tmp_path / "workers"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _ORPHANING_PARENT,
+                           str(record)], env=env, timeout=60,
+                          stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    assert proc.returncode == -signal.SIGKILL
+    workers = {int(pid) for pid in record.read_text().split()}
+    assert len(workers) == 2
+    alive = still_running(workers, within=3.0)
+    for pid in alive:  # do not leak them into the rest of the suite
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"orphaned workers still running: {sorted(alive)}"
+
+
+SERVICE_CAMPAIGN = """
+campaign: worker-history
+defaults: {scale: 0.05, cores: [8], seeds: [7]}
+matrix:
+  - benchmarks: [sctr, mctr, dbll, prco]
+    locks: [mcs, glock]
+"""
+
+
+def test_results_do_not_depend_on_worker_history(tmp_path):
+    """Long-lived workers keep process-global counters running
+    (``locks.base._uids``, ``noc.messages._msg_ids``) from one spec to
+    the next.  No published byte may depend on them: the same specs,
+    run again on the same workers in reverse order, publish exactly
+    what an inline run does."""
+    from repro.runner.config import expand_campaign
+    from repro.runner.publisher import SamplePublisher
+
+    campaign = expand_campaign(SERVICE_CAMPAIGN)
+    assert len(campaign.specs) == 8
+
+    def publish(engine, specs, name):
+        publisher = SamplePublisher(tmp_path / name)
+        publisher.expect(campaign.digests())
+        engine.observers.append(publisher)
+        try:
+            engine.run_specs(specs)
+        finally:
+            engine.observers.remove(publisher)
+            publisher.close()
+        return (tmp_path / name).read_bytes()
+
+    inline = publish(Engine(), campaign.specs, "inline.jsonl")
+    engine = Engine(jobs=2)
+    try:
+        first = publish(engine, campaign.specs, "first.jsonl")
+        engine.clear_memory_cache()
+        second = publish(engine, campaign.specs[::-1], "second.jsonl")
+    finally:
+        engine.close()
+    assert engine.stats.executed == 16
+    assert first == inline
+    assert second == inline
