@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
 from repro.machine import RunResult
 from repro.sim.stats import Interval, sweep_concurrency
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LockContention", "analyze_contention", "benchmark_licr"]
 
@@ -51,7 +52,7 @@ class LockContention:
         """Equation 1: per-lock contention rate over grAC."""
         total = self.total_cycles
         if total == 0:
-            return np.zeros_like(self.cycles_per_grac, dtype=float)
+            return self.cycles_per_grac * 0.0
         return self.cycles_per_grac / total
 
     def aggregate_rate(self, min_grac: int) -> float:
@@ -105,7 +106,7 @@ def benchmark_licr(profiles: Mapping[str, LockContention]) -> Dict[str, np.ndarr
     """
     grand_total = sum(p.total_cycles for p in profiles.values())
     if grand_total == 0:
-        return {label: np.zeros_like(p.cycles_per_grac, dtype=float)
+        return {label: p.cycles_per_grac * 0.0
                 for label, p in profiles.items()}
     return {label: p.cycles_per_grac / grand_total
             for label, p in profiles.items()}

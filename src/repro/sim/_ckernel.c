@@ -79,11 +79,13 @@ struct CSimulator {
     long long now;
     long long events_executed;
     long long finish_stamp;
-    PyObject *processes;        /* list of Process */
+    long long spawned;          /* processes spawned: names proc<N> */
     PyObject *tracer;           /* None or Tracer */
     PyObject *profiler;         /* None or Profiler */
     PyObject *on_event;         /* None or callable(sim) */
     PyObject *signal_registry;  /* NULL (disabled) or list of weakrefs */
+    PyObject *live_processes;   /* NULL, or set of unfinished processes
+                                   (held only while the registry is on) */
     Py_ssize_t registry_compact_at;
     int retain_values;
 };
@@ -105,7 +107,7 @@ struct CProcess {
     PyObject *name;             /* str */
     PyObject *gen;
     PyObject *result;
-    CSignal *done;              /* owned */
+    CSignal *done;              /* owned; NULL until first accessed */
     PyObject *waiting_on;       /* None or Signal */
     int finished;
 };
@@ -252,6 +254,22 @@ registry_compact(CSimulator *sim)
     Py_DECREF(keep);
 }
 
+/* `name` as a new str reference: None (or omitted, NULL) is the empty
+ * name, as in the pure kernel; any other non-str is a TypeError */
+static PyObject *
+name_or_empty(PyObject *name, const char *func)
+{
+    if (name == NULL || name == Py_None)
+        return PyUnicode_New(0, 0);
+    if (!PyUnicode_Check(name)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s() argument 'name' must be str or None, not %.200s",
+                     func, Py_TYPE(name)->tp_name);
+        return NULL;
+    }
+    return Py_NewRef(name);
+}
+
 /* internal constructor: Signal(sim, name) on the fast path */
 static CSignal *
 csignal_make(CSimulator *sim, PyObject *name)
@@ -289,17 +307,13 @@ csignal_init(CSignal *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"sim", "name", NULL};
     PyObject *simobj, *name = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!|U:Signal", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!|O:Signal", kwlist,
                                      &Simulator_Type, &simobj, &name))
         return -1;
     CSimulator *sim = (CSimulator *)simobj;
-    if (name == NULL) {
-        name = PyUnicode_New(0, 0);
-        if (name == NULL)
-            return -1;
-    }
-    else
-        Py_INCREF(name);
+    name = name_or_empty(name, "Signal");
+    if (name == NULL)
+        return -1;
     PyObject *waiters = PyList_New(0);
     if (waiters == NULL) {
         Py_DECREF(name);
@@ -482,7 +496,12 @@ process_step(CProcess *p, PyObject *value)
         p->finished = 1;
         Py_XSETREF(p->result, item);   /* steals the returned reference */
         p->sim->finish_stamp++;
-        return csignal_fire_impl(p->done, item);
+        /* the caller holds p, so dropping the set's reference is safe */
+        if (p->sim->live_processes != NULL
+                && PySet_Discard(p->sim->live_processes, (PyObject *)p) < 0)
+            return -1;
+        /* no done signal yet means nobody waits on one */
+        return p->done == NULL ? 0 : csignal_fire_impl(p->done, item);
     }
     /* PYGEN_NEXT: dispatch the yielded item (exact types first — this
      * is also how bool is excluded on the fast path) */
@@ -562,32 +581,18 @@ cprocess_init(CProcess *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"sim", "gen", "name", NULL};
     PyObject *simobj, *gen, *name = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O|U:Process", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O|O:Process", kwlist,
                                      &Simulator_Type, &simobj, &gen, &name))
         return -1;
-    if (name == NULL) {
-        name = PyUnicode_New(0, 0);
-        if (name == NULL)
-            return -1;
-    }
-    else
-        Py_INCREF(name);
-    PyObject *done_name = PyUnicode_FromFormat("%U.done", name);
-    if (done_name == NULL) {
-        Py_DECREF(name);
+    name = name_or_empty(name, "Process");
+    if (name == NULL)
         return -1;
-    }
-    CSignal *done = csignal_make((CSimulator *)simobj, done_name);
-    if (done == NULL) {
-        Py_DECREF(name);
-        return -1;
-    }
     Py_XSETREF(self->sim, (CSimulator *)Py_NewRef(simobj));
     Py_XSETREF(self->name, name);
     Py_XSETREF(self->gen, Py_NewRef(gen));
     self->finished = 0;
     Py_XSETREF(self->result, Py_NewRef(Py_None));
-    Py_XSETREF(self->done, done);
+    Py_CLEAR(self->done);
     Py_XSETREF(self->waiting_on, Py_NewRef(Py_None));
     return 0;
 }
@@ -622,6 +627,25 @@ static PyObject *
 cprocess_get_finished(CProcess *self, void *closure)
 {
     return PyBool_FromLong(self->finished);
+}
+
+/* Process.done, built on first access like the pure kernel's */
+static PyObject *
+cprocess_get_done(CProcess *self, void *closure)
+{
+    if (self->done == NULL) {
+        if (self->sim == NULL) {
+            PyErr_SetString(PyExc_TypeError, "Process is not initialized");
+            return NULL;
+        }
+        PyObject *done_name = PyUnicode_FromFormat("%U.done", self->name);
+        if (done_name == NULL)
+            return NULL;
+        self->done = csignal_make(self->sim, done_name);
+        if (self->done == NULL)
+            return NULL;
+    }
+    return Py_NewRef((PyObject *)self->done);
 }
 
 static int
@@ -668,13 +692,14 @@ static PyMemberDef cprocess_members[] = {
     {"sim", T_OBJECT, offsetof(CProcess, sim), READONLY, NULL},
     {"name", T_OBJECT, offsetof(CProcess, name), READONLY, NULL},
     {"result", T_OBJECT, offsetof(CProcess, result), READONLY, NULL},
-    {"done", T_OBJECT, offsetof(CProcess, done), READONLY, NULL},
     {"waiting_on", T_OBJECT, offsetof(CProcess, waiting_on), READONLY, NULL},
     {NULL}
 };
 
 static PyGetSetDef cprocess_getsets[] = {
     {"finished", (getter)cprocess_get_finished, NULL, NULL, NULL},
+    {"done", (getter)cprocess_get_done, NULL,
+     "Fires (with the return value) when the generator completes.", NULL},
     {NULL}
 };
 
@@ -719,15 +744,16 @@ csim_init(CSimulator *self, PyObject *args, PyObject *kwds)
     self->now = 0;
     self->events_executed = 0;
     self->finish_stamp = 0;
-    Py_XSETREF(self->processes, PyList_New(0));
+    self->spawned = 0;
     Py_XSETREF(self->tracer, Py_NewRef(Py_None));
     Py_XSETREF(self->profiler,
                Py_NewRef(profile == NULL ? Py_None : profile));
     Py_XSETREF(self->on_event, Py_NewRef(Py_None));
     Py_CLEAR(self->signal_registry);
+    Py_CLEAR(self->live_processes);
     self->registry_compact_at = 256;
     self->retain_values = 0;
-    return self->processes == NULL ? -1 : 0;
+    return 0;
 }
 
 /* parse (delay_or_time, fn, *args) into an event push */
@@ -802,15 +828,11 @@ csim_signal(CSimulator *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"name", NULL};
     PyObject *name = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|U:signal", kwlist, &name))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O:signal", kwlist, &name))
         return NULL;
-    if (name == NULL) {
-        name = PyUnicode_New(0, 0);
-        if (name == NULL)
-            return NULL;
-    }
-    else
-        Py_INCREF(name);
+    name = name_or_empty(name, "signal");
+    if (name == NULL)
+        return NULL;
     return (PyObject *)csignal_make(self, name);
 }
 
@@ -819,45 +841,36 @@ csim_spawn(CSimulator *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"gen", "name", NULL};
     PyObject *gen, *name = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|U:spawn", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O:spawn", kwlist,
                                      &gen, &name))
         return NULL;
-    if (name == NULL || PyUnicode_GET_LENGTH(name) == 0)
-        name = PyUnicode_FromFormat("proc%zd",
-                                    PyList_GET_SIZE(self->processes));
-    else
-        Py_INCREF(name);
+    name = name_or_empty(name, "spawn");
+    if (name != NULL && PyUnicode_GET_LENGTH(name) == 0)
+        Py_SETREF(name, PyUnicode_FromFormat("proc%lld", self->spawned));
     if (name == NULL)
         return NULL;
+    self->spawned++;
     CProcess *proc = (CProcess *)Process_Type.tp_alloc(&Process_Type, 0);
     if (proc == NULL) {
         Py_DECREF(name);
         return NULL;
     }
-    PyObject *done_name = PyUnicode_FromFormat("%U.done", name);
-    if (done_name == NULL)
-        goto fail;
-    CSignal *done = csignal_make(self, done_name);
-    if (done == NULL)
-        goto fail;
+    /* the kernel holds the process only through its pending events (and,
+     * while the signal registry is on, until it finishes), and `done` is
+     * built when first asked for */
     proc->sim = (CSimulator *)Py_NewRef((PyObject *)self);
     proc->name = name;
     proc->gen = Py_NewRef(gen);
     proc->finished = 0;
     proc->result = Py_NewRef(Py_None);
-    proc->done = done;
     proc->waiting_on = Py_NewRef(Py_None);
-    if (PyList_Append(self->processes, (PyObject *)proc) < 0
-            || csim_push(self, self->now, (PyObject *)proc, NULL,
-                         EV_STEP) < 0) {
+    if (csim_push(self, self->now, (PyObject *)proc, NULL, EV_STEP) < 0
+            || (self->live_processes != NULL
+                && PySet_Add(self->live_processes, (PyObject *)proc) < 0)) {
         Py_DECREF(proc);
         return NULL;
     }
     return (PyObject *)proc;
-fail:
-    Py_DECREF(name);
-    Py_DECREF(proc);
-    return NULL;
 }
 
 /* run one popped event; consumes cur's references.  Returns -1 with an
@@ -1231,6 +1244,11 @@ csim_enable_signal_registry(CSimulator *self, PyObject *Py_UNUSED(ignored))
         self->signal_registry = PyList_New(0);
         if (self->signal_registry == NULL)
             return NULL;
+        self->live_processes = PySet_New(NULL);
+        if (self->live_processes == NULL) {
+            Py_CLEAR(self->signal_registry);
+            return NULL;
+        }
     }
     self->retain_values = 1;
     Py_RETURN_NONE;
@@ -1408,11 +1426,11 @@ csim_traverse(CSimulator *self, visitproc visit, void *arg)
         Py_VISIT(ev->fn);
         Py_VISIT(ev->arg);
     }
-    Py_VISIT(self->processes);
     Py_VISIT(self->tracer);
     Py_VISIT(self->profiler);
     Py_VISIT(self->on_event);
     Py_VISIT(self->signal_registry);
+    Py_VISIT(self->live_processes);
     return 0;
 }
 
@@ -1431,11 +1449,11 @@ csim_clear(CSimulator *self)
         Py_CLEAR(ev->arg);
     }
     self->ready_len = 0;
-    Py_CLEAR(self->processes);
     Py_CLEAR(self->tracer);
     Py_CLEAR(self->profiler);
     Py_CLEAR(self->on_event);
     Py_CLEAR(self->signal_registry);
+    Py_CLEAR(self->live_processes);
     return 0;
 }
 

@@ -41,7 +41,8 @@ import weakref
 from collections import deque
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Generator, Iterable, List, Optional, Set,
+                    Tuple)
 
 __all__ = ["Simulator", "Process", "Signal", "SimulationError",
            "SimDeadlockError"]
@@ -102,9 +103,9 @@ class Signal:
     __slots__ = ("sim", "name", "_waiters", "fire_count", "last_value",
                  "__weakref__")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: Optional[str] = "") -> None:
         self.sim = sim
-        self.name = name
+        self.name = name or ""
         self._waiters: List[Callable[[Any], None]] = []
         #: number of times :meth:`fire` has been called (useful in tests).
         self.fire_count = 0
@@ -170,20 +171,30 @@ class Process:
     value is stored in :attr:`result` and broadcast through :attr:`done`.
     """
 
-    __slots__ = ("sim", "name", "_gen", "finished", "result", "done",
+    __slots__ = ("sim", "name", "_gen", "finished", "result", "_done",
                  "waiting_on")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
+    def __init__(self, sim: "Simulator", gen: Generator,
+                 name: Optional[str] = "") -> None:
         self.sim = sim
-        self.name = name
+        self.name = name or ""
         self._gen = gen
         self.finished = False
         self.result: Any = None
-        #: fires (with the return value) when the generator completes.
-        self.done = Signal(sim, name=f"{name}.done")
+        # built on first access of ``done``: most processes (the
+        # directory's home transactions) are never joined or waited on
+        self._done: Optional[Signal] = None
         #: the :class:`Signal` this process is currently suspended on, if any
         #: (diagnostic: the deadlock watchdog names it in its report).
         self.waiting_on: Optional[Signal] = None
+
+    @property
+    def done(self) -> Signal:
+        """Fires (with the return value) when the generator completes."""
+        done = self._done
+        if done is None:
+            done = self._done = Signal(self.sim, name=f"{self.name}.done")
+        return done
 
     def _step(self, value: Any = None) -> None:
         if self.finished:
@@ -197,7 +208,11 @@ class Process:
             # bump before firing: run_until_processes_finish re-evaluates
             # its finish predicate only when this stamp moves
             self.sim._finish_stamp += 1
-            self.done.fire(stop.value)
+            live = self.sim._live_processes
+            if live is not None:
+                live.discard(self)
+            if self._done is not None:  # no signal, no waiters to wake
+                self._done.fire(stop.value)
             return
         # exact-type fast paths first: yielded ints and Signals are the
         # per-event common case (type() is also how bool is excluded —
@@ -306,7 +321,8 @@ class Simulator:
         self._seq = 0
         self.now = 0
         self._events_executed = 0
-        self._processes: List[Process] = []
+        # processes spawned so far: names the unnamed ones ``proc<N>``
+        self._spawned = 0
         # incremented whenever any process finishes; lets the run loops
         # re-check their finish predicate in O(1) per event
         self._finish_stamp = 0
@@ -326,6 +342,11 @@ class Simulator:
         self._registry_compact_at = 256
         # retain Signal.last_value only while diagnostics want it
         self._retain_values = False
+        # unfinished processes, held only while diagnostics are on: a
+        # process suspended on a signal nothing else references would
+        # otherwise be collected together with it, out of the registry's
+        # sight (see enable_signal_registry)
+        self._live_processes: Optional[Set[Process]] = None
 
     # ------------------------------------------------------------------ #
     # diagnostics
@@ -334,10 +355,14 @@ class Simulator:
         """Track every Signal created from now on (weakly).
 
         Used by the invariant sanitizer to detect orphaned waiters at drain;
-        off by default so plain simulations allocate nothing extra.
+        off by default so plain simulations allocate nothing extra.  While
+        it is on, the kernel also holds every unfinished process it spawns,
+        so a process stuck on an otherwise unreferenced signal keeps that
+        signal alive for the check.
         """
         if self._signal_registry is None:
             self._signal_registry = []
+            self._live_processes = set()
         self._retain_values = True
 
     def add_on_event(self, fn: Callable[["Simulator"], None]) -> None:
@@ -378,7 +403,7 @@ class Simulator:
         """Drop dead weakrefs in place and raise the next compaction bar.
 
         Long campaigns create and drop millions of short-lived signals
-        (fill/watch/done signals); without periodic compaction the
+        (fill/watch signals); without periodic compaction the
         registry list would grow monotonically with dead references.
         """
         registry = self._signal_registry
@@ -452,14 +477,21 @@ class Simulator:
             else:
                 heap.append((time, self._seq, ev))
 
-    def signal(self, name: str = "") -> Signal:
+    def signal(self, name: Optional[str] = "") -> Signal:
         """Create a new :class:`Signal` bound to this simulator."""
         return Signal(self, name)
 
-    def spawn(self, gen: Generator, name: str = "") -> Process:
-        """Start a generator as a process on the next zero-delay slot."""
-        proc = Process(self, gen, name or f"proc{len(self._processes)}")
-        self._processes.append(proc)
+    def spawn(self, gen: Generator, name: Optional[str] = "") -> Process:
+        """Start a generator as a process on the next zero-delay slot.
+
+        The kernel keeps no reference to the process beyond its pending
+        wakeups (and, while the signal registry is on, until it finishes):
+        keep the returned handle to join or inspect it later.
+        """
+        proc = Process(self, gen, name or f"proc{self._spawned}")
+        self._spawned += 1
+        if self._live_processes is not None:
+            self._live_processes.add(proc)
         self.schedule(0, proc._step)
         return proc
 

@@ -158,7 +158,7 @@ def Signal(sim, name: str = ""):
 
 def Process(sim, gen, name: Optional[str] = None):
     """Construct a process on ``sim`` (normally via ``sim.spawn``)."""
-    return sim.spawn(gen, name=name or "")
+    return sim.spawn(gen, name=name)
 
 
 def compiled_impl():

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BoundCounter", "CounterSet", "Histogram", "IntervalRecorder",
            "sweep_concurrency"]
@@ -104,6 +105,8 @@ class Histogram:
         if n_bins < 1:
             raise ValueError("need at least one bin")
         self.n_bins = n_bins
+        import numpy as np  # not at module top: simulation never needs it
+
         self.counts = np.zeros(n_bins + 1, dtype=np.int64)  # [0] unused, 1..n
 
     def add(self, bin_index: int, weight: int = 1) -> None:
@@ -120,7 +123,7 @@ class Histogram:
         """Bin weights as fractions of the total (zeros if empty)."""
         t = self.total
         if t == 0:
-            return np.zeros(self.n_bins + 1)
+            return self.counts * 0.0
         return self.counts / t
 
 

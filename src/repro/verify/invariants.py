@@ -149,7 +149,9 @@ class InvariantSanitizer:
         # the parallel phase ended mid-flight and abandoned helpers
         # (directory transactions, pollers) are expected — see
         # run_until_processes_finish.  Plain callback waiters are never
-        # orphans for the same reason.
+        # orphans for the same reason.  The kernel holds every unfinished
+        # process while the registry is on, so one stuck on a signal
+        # nothing else references keeps that signal registered.
         if sim.pending_events == 0:
             orphans: List[str] = []
             for sig in sim.live_signals():

@@ -43,6 +43,7 @@ KERNEL_OWNED_ATTRS = frozenset({
     "now", "_heap", "_ready", "_free", "_seq",       # Simulator
     "_events_executed", "_finish_stamp",
     "_signal_registry", "_registry_compact_at", "_retain_values",
+    "_live_processes",
     "finished", "_gen", "waiting_on",                # Process
     "_waiters", "fire_count", "last_value",          # Signal
     "on_event",

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.machine import Machine
 from repro.workloads.base import Workload, WorkloadInstance
 
@@ -47,6 +45,10 @@ class RaytraceProxy(Workload):
 
     def build(self, machine: Machine, hc_kinds: Sequence[str],
               other_kind: str = "tatas") -> WorkloadInstance:
+        # numpy loads with the first raytr build, not with the package:
+        # the seeded PCG64 streams below are numpy's
+        import numpy as np
+
         mem = machine.mem
         n = machine.config.n_cores
         ray_lock = machine.make_lock(hc_kinds[0], name="raytr-raylock")

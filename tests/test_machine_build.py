@@ -6,9 +6,18 @@ mesh builds its ``Link`` objects only when a pure-Python route or a
 link view needs them.  These tests pin the construction budget in
 GC-tracked objects per core and the points at which networks and links
 come into existence, on every available kernel backend.
+
+The same rule holds while a run goes on and before it starts: the kernel
+keeps a process only while it has work pending (its ``done`` signal is
+built when first asked for), and numpy loads only with the workloads and
+analyses that use it.
 """
 
 import gc
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +27,7 @@ from repro.machine import Machine
 from repro.noc.topology import Link
 from repro.sim import kernel
 from repro.sim.config import CMPConfig
+from repro.verify.invariants import InvariantSanitizer, InvariantViolation
 from repro.workloads.microbench import SingleCounter
 
 #: GC-tracked objects one core may add to a fault-free machine
@@ -117,3 +127,131 @@ def test_drop_limit_still_raises_at_construction():
 def test_unknown_arbitration_still_raises_at_construction():
     with pytest.raises(ValueError, match="unknown arbitration"):
         Machine(CMPConfig.baseline(16), glock_arbitration="lottery")
+
+
+def test_finished_processes_are_freed(backend):
+    """No spawn history: once a run returns, the processes that finished
+    in it (cores and the directory's home transactions) are garbage."""
+    before = _live(kernel.PROCESS_TYPES)
+    machine = Machine(CMPConfig.baseline(16))
+    instance = SingleCounter(iterations=32).instantiate(
+        machine, hc_kind="mcs")
+    machine.run(instance.programs)
+    instance.validate(machine)
+    gc.collect()
+    kept = [p for p in _new(kernel.PROCESS_TYPES, before) if p.finished]
+    assert kept == [], f"{len(kept)} finished processes still alive"
+
+
+def test_sanitizer_sees_a_process_whose_handle_was_dropped(backend):
+    """A process stuck on a signal nothing else references is still an
+    orphan at drain after a collection: while the sanitizer is attached
+    the kernel holds it (and so its signal) until it finishes."""
+    machine = Machine(CMPConfig.baseline(4))
+    if machine.sanitizer is not None:      # --sanitize attached one
+        machine.sanitizer.detach()
+    sanitizer = InvariantSanitizer(machine).attach()
+
+    def stray():
+        yield machine.sim.signal("x")
+
+    machine.sim.spawn(stray(), name="stray")
+    machine.sim.run()
+    gc.collect()
+    with pytest.raises(InvariantViolation, match="orphaned"):
+        sanitizer.at_drain()
+
+
+def _returns(value, delay=1):
+    yield delay
+    return value
+
+
+def test_done_built_mid_run_wakes_its_waiter(backend):
+    sim = kernel.Simulator()
+    sim.enable_signal_registry()
+    worker = sim.spawn(_returns("w", delay=10), name="worker")
+
+    def waiter():
+        yield 5
+        assert "worker.done" not in [s.name for s in sim.live_signals()]
+        value = yield worker.done        # first touch: built here
+        return sim.now, value
+
+    boss = sim.spawn(waiter())
+    sim.run()
+    assert boss.result == (10, "w")
+
+
+def test_done_of_a_directly_built_process(backend):
+    sim = kernel.Simulator()
+    proc_type = type(sim.spawn(_returns(0)))
+    proc = proc_type(sim, _returns(3), "direct")
+    assert proc.done.name == "direct.done"
+    assert proc.done is proc.done
+
+
+def test_join_on_finished_process_returns_at_once(backend):
+    """It returns the result in the same cycle and builds no ``done``."""
+    sim = kernel.Simulator()
+    sim.enable_signal_registry()
+    worker = sim.spawn(_returns(7), name="worker")
+    sim.run()
+    assert worker.finished
+
+    def boss():
+        start = sim.now
+        value = yield from worker.join()
+        return sim.now - start, value
+
+    joiner = sim.spawn(boss())
+    sim.run()
+    assert joiner.result == (0, 7)
+    assert [s.name for s in sim.live_signals()] == []
+
+
+def test_default_names_count_every_spawn(backend):
+    sim = kernel.Simulator()
+    first = sim.spawn(_returns(None))
+    sim.run()
+    assert first.finished and first.name == "proc0"
+    del first
+    gc.collect()
+    assert sim.spawn(_returns(None)).name == "proc1"
+    assert sim.spawn(_returns(None), name="named").name == "named"
+    assert sim.spawn(_returns(None)).name == "proc3"
+
+
+def test_none_name_means_no_name(backend):
+    """Both kernels read a ``None`` name as no name at all."""
+    sim = kernel.Simulator()
+    proc = sim.spawn(_returns(None), name=None)
+    assert proc.name == "proc0"
+    assert kernel.Process(sim, _returns(None), None).name == "proc1"
+    assert type(proc)(sim, _returns(None), None).name == ""
+    sig = sim.signal(None)
+    assert sig.name == ""
+    assert sim.signal(name=None).name == ""
+    assert kernel.Signal(sim, None).name == ""
+    assert type(sig)(sim, None).name == ""
+
+
+def test_startup_and_a_run_load_no_numpy():
+    """The CLI, the daemon and a non-raytr run never import numpy."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        "import repro.runner.service\n"
+        "from repro.runner.engine import execute_spec\n"
+        "from repro.runner.spec import RunSpec\n"
+        "execute_spec(RunSpec.benchmark('sctr', n_cores=4, scale=0.05))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", script], cwd=repo, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
