@@ -4,6 +4,12 @@ Used for both L1 (MESI states) and L2 (presence + dirty bit).  Pure
 bookkeeping — no timing; controllers add latencies.  Lookups are O(1) via a
 per-set ``dict`` keyed by line address with insertion order as LRU order
 (Python dicts preserve insertion order; re-inserting moves to MRU).
+
+:class:`TagArray` is the reference implementation.  The compiled kernel
+has a C twin with the same contract, down to ``KeyError`` arguments and
+the order of :meth:`~TagArray.resident_lines`.  Cache controllers get
+theirs from :func:`tag_array`, which picks the twin from the type of the
+simulator the cache is built on.
 """
 
 from __future__ import annotations
@@ -11,8 +17,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.sim.config import CacheConfig
+from repro.sim.kernel import Simulator, compiled_impl
 
-__all__ = ["TagArray"]
+__all__ = ["TagArray", "tag_array"]
 
 
 class TagArray:
@@ -38,13 +45,16 @@ class TagArray:
 
     def touch(self, line_addr: int) -> None:
         """Mark ``line_addr`` most-recently used."""
-        s = self._sets[self._set_index(line_addr)]
-        s[line_addr] = s.pop(line_addr)
+        try:
+            s = self._sets[self._set_index(line_addr)]
+            s[line_addr] = s.pop(line_addr)
+        except KeyError:
+            raise KeyError(f"line {line_addr:#x} not resident") from None
 
     def set_state(self, line_addr: int, state: object) -> None:
         """Update the state of a resident line (keeps LRU position)."""
-        s = self._sets[self._set_index(line_addr)]
-        if line_addr not in s:
+        s = self._sets.get(self._set_index(line_addr))
+        if s is None or line_addr not in s:
             raise KeyError(f"line {line_addr:#x} not resident")
         s[line_addr] = state
 
@@ -82,31 +92,20 @@ class TagArray:
         return s.pop(line_addr, None)
 
     def resident_lines(self) -> Iterable[int]:
-        """All resident line addresses (diagnostics/tests)."""
-        for s in self._sets.values():
-            yield from s.keys()
+        """All resident line addresses by set index, each set LRU first
+        (diagnostics/tests)."""
+        for idx in sorted(self._sets):
+            yield from self._sets[idx]
 
     def occupancy(self) -> int:
         """Total resident lines."""
         return sum(len(s) for s in self._sets.values())
 
 
-# --------------------------------------------------------------------- #
-# compiled backend
-# --------------------------------------------------------------------- #
-_PURE_TAGARRAY = TagArray
-
-
-def _bind_backend(backend: str) -> None:
-    # the compiled TagArray keeps the same dict-order-is-LRU contract and
-    # KeyError messages; cache controllers construct via ``cache.TagArray``
-    # so this module-level rebind is all the switch needs
-    global TagArray
-    impl = _kernel.compiled_impl()
-    TagArray = (impl.TagArray if backend == "compiled" and impl is not None
-                else _PURE_TAGARRAY)
-
-
-from repro.sim import kernel as _kernel  # noqa: E402
-
-_kernel.on_backend_change(_bind_backend)
+def tag_array(sim: Simulator, config: CacheConfig):
+    """A tag array for a cache on ``sim``: the C twin when ``sim`` is a
+    compiled simulator, else :class:`TagArray`."""
+    impl = compiled_impl()
+    if impl is not None and type(sim) is impl.Simulator:
+        return impl.TagArray(config)
+    return TagArray(config)

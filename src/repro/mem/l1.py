@@ -26,13 +26,13 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.mem import protocol as P
-from repro.mem.address import WORD_BYTES, home_of, line_of
+from repro.mem.address import home_of, line_of
 from repro.mem.backing import BackingStore
 from repro.mem import cache
 from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Signal, Simulator, compiled_impl
+from repro.sim.kernel import Signal, Simulator
 from repro.sim.stats import CounterSet
 
 __all__ = ["L1Cache"]
@@ -67,9 +67,7 @@ class L1Cache:
         self.mesh = mesh
         self.backing = backing
         self.counters = counters
-        # cache.TagArray rather than a direct import: the binding follows
-        # the active kernel backend (see repro.mem.cache._bind_backend)
-        self.tags = cache.TagArray(config.l1)
+        self.tags = cache.tag_array(sim, config.l1)
         self.hit_latency = config.l1.latency
         # hot-path constants, resolved once (line_of/home_of inlined in
         # the access path: these run once or more per memory access)
@@ -93,17 +91,6 @@ class L1Cache:
         self._c_misses = counters.bind("l1.misses")
         self._c_rmw = counters.bind("l1.rmw")
         self._c_spin_cycles = counters.bind("l1.spin_cycles")
-        # compiled fast path: when both the tag array and the simulator
-        # come from the compiled backend, the whole try_hit body (tag
-        # probe, E->M upgrade, LRU touch, backing-store word op, access
-        # counter) runs as one C call; the instance attribute shadows
-        # the method for every caller that binds self.try_hit
-        impl = compiled_impl()
-        if (impl is not None and type(sim) is impl.Simulator
-                and type(self.tags) is impl.TagArray):
-            self.try_hit = impl.L1Hit(
-                self.tags, backing._words, self._c_accesses,
-                MISS, M, E, WORD_BYTES).try_hit
 
     # ------------------------------------------------------------------ #
     # public coroutine API (driven by the core with `yield from`)

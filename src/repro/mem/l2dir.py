@@ -72,7 +72,7 @@ class L2DirectorySlice:
         self.tile_id = tile_id
         self.mesh = mesh
         self.counters = counters
-        self.tags = cache.TagArray(config.l2)
+        self.tags = cache.tag_array(sim, config.l2)
         self._dir: Dict[int, DirEntry] = {}
         self._noc = config.noc
         # fused make_msg+send entry point, resolved once (bound C method

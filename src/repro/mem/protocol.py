@@ -2,8 +2,9 @@
 
 One place that defines every protocol message kind, which Figure 9 category
 it accounts to, and whether it carries a cache line.  Both the L1 controller
-and the home L2/directory build messages through :func:`make_msg` so sizes
-and categories stay consistent.
+and the home L2/directory send through ``Mesh.send_proto``, which builds
+each message with :func:`make_msg` or, on a compiled simulator, in the C
+mesh core from these same tables, so sizes and categories stay consistent.
 
 Protocol summary (blocking directory, home-collected acks — see DESIGN.md):
 
@@ -39,6 +40,7 @@ from typing import Any
 
 from repro.noc.messages import Message, MsgCategory
 from repro.sim.config import NoCConfig
+from repro.sim.kernel import compiled_impl
 
 __all__ = [
     "GETS", "GETM", "UPGRADE", "DATA", "DATA_E", "DATA_M", "GRANT_M",
@@ -87,6 +89,11 @@ _CATEGORY = {
 
 _CARRIES_DATA = {DATA, DATA_E, DATA_M, DATA_C2C, RECALL_DATA, WB_DATA}
 
+# the C mesh core reads the tables from here: the extension never imports
+# this package itself, which keeps its own import free of cycles
+if compiled_impl() is not None:
+    compiled_impl().configure_protocol(_CATEGORY, _CARRIES_DATA)
+
 #: kinds a tile dispatcher routes to its L2/directory slice
 HOME_BOUND_KINDS = frozenset(
     {GETS, GETM, UPGRADE, INV_ACK, RECALL_DATA, RECALL_ACK, WB_DATA,
@@ -109,27 +116,3 @@ def make_msg(noc: NoCConfig, src: int, dst: int, kind: str, line: int,
         size_bytes=size,
         payload={"line": line, "extra": payload},
     )
-
-
-# --------------------------------------------------------------------- #
-# compiled backend
-# --------------------------------------------------------------------- #
-_PURE_MAKE_MSG = make_msg
-
-
-def _bind_backend(backend: str) -> None:
-    # hand the kind tables to the C module (it never imports this package
-    # itself, to keep extension import free of cycles) and rebind the
-    # module-level ``make_msg`` every L1/L2 call site goes through
-    global make_msg
-    impl = _kernel.compiled_impl()
-    if backend == "compiled" and impl is not None:
-        impl.configure_protocol(_CATEGORY, _CARRIES_DATA)
-        make_msg = impl.make_msg
-    else:
-        make_msg = _PURE_MAKE_MSG
-
-
-from repro.sim import kernel as _kernel  # noqa: E402
-
-_kernel.on_backend_change(_bind_backend)

@@ -65,23 +65,3 @@ class Message:
             f"Message({self.kind} {self.src}->{self.dst} "
             f"{self.size_bytes}B {self.category.value})"
         )
-
-
-# --------------------------------------------------------------------- #
-# compiled backend
-# --------------------------------------------------------------------- #
-_PURE_MESSAGE = Message
-
-
-def _bind_backend(backend: str) -> None:
-    # swap Message for its compiled twin (same fields, same validation,
-    # same repr) whenever the compiled kernel backend is active
-    global Message
-    impl = _kernel.compiled_impl()
-    Message = (impl.Message if backend == "compiled" and impl is not None
-               else _PURE_MESSAGE)
-
-
-from repro.sim import kernel as _kernel  # noqa: E402
-
-_kernel.on_backend_change(_bind_backend)

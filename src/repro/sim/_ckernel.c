@@ -10,10 +10,13 @@
  * backends are bit-for-bit interchangeable — held to the determinism
  * goldens in tests/test_kernel_determinism.py.
  *
- * Also hosts the component-level accelerators named in the performance
- * notes: the protocol Message record + make_msg, the set-associative
- * TagArray, and MeshCore (XY routing, link reservation and traffic
- * accounting for repro.noc.topology.Mesh).
+ * Also hosts the component accelerators that measurably pay for
+ * themselves on the Table III suite (docs/performance.md, "Accelerator
+ * audit"): the set-associative TagArray, and MeshCore (XY routing, link
+ * reservation and traffic accounting for repro.noc.topology.Mesh) with
+ * send_proto, which builds each protocol Message record in C.  A
+ * component picks its C twin when it is built, from the type of its
+ * simulator; nothing rebinds when the backend switches.
  *
  * Events here are plain C structs recycled in place inside the queue
  * arrays, so the pure kernel's pooled-_Event free list has no analogue:
@@ -1533,8 +1536,11 @@ static PyTypeObject Simulator_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Message + make_msg (repro.noc.messages / repro.mem.protocol)        */
+/* Message: the protocol record MeshCore.send_proto builds             */
 /* ------------------------------------------------------------------ */
+
+/* Same fields, sizes and repr as repro.noc.messages.Message, which is
+ * what Python code constructs; this type has no Python constructor. */
 
 typedef struct {
     PyObject_HEAD
@@ -1548,40 +1554,6 @@ typedef struct {
 } CMessage;
 
 static long long message_counter = 0;
-
-static int
-cmessage_init(CMessage *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"src", "dst", "kind", "category", "size_bytes",
-                             "payload", "msg_id", NULL};
-    long src, dst, size_bytes;
-    PyObject *kind, *category, *payload = Py_None, *msg_id_obj = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "llUOl|OO:Message", kwlist,
-                                     &src, &dst, &kind, &category,
-                                     &size_bytes, &payload, &msg_id_obj))
-        return -1;
-    if (size_bytes <= 0) {
-        PyErr_SetString(PyExc_ValueError, "message size must be positive");
-        return -1;
-    }
-    Py_INCREF(kind);
-    PyUnicode_InternInPlace(&kind);
-    self->src = src;
-    self->dst = dst;
-    Py_XSETREF(self->kind, kind);
-    Py_XSETREF(self->category, Py_NewRef(category));
-    self->size_bytes = size_bytes;
-    Py_XSETREF(self->payload, Py_NewRef(payload));
-    if (msg_id_obj != NULL && msg_id_obj != Py_None) {
-        long long mid = PyLong_AsLongLong(msg_id_obj);
-        if (mid == -1 && PyErr_Occurred())
-            return -1;
-        self->msg_id = mid;
-    }
-    else
-        self->msg_id = message_counter++;
-    return 0;
-}
 
 static PyObject *
 cmessage_repr(CMessage *self)
@@ -1636,11 +1608,8 @@ static PyTypeObject Message_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._ckernel.Message",
     .tp_basicsize = sizeof(CMessage),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
-                | Py_TPFLAGS_BASETYPE,
-    .tp_doc = "A single NoC message (compiled record).",
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)cmessage_init,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A protocol NoC message built by MeshCore.send_proto.",
     .tp_dealloc = (destructor)cmessage_dealloc,
     .tp_traverse = (traverseproc)cmessage_traverse,
     .tp_clear = (inquiry)cmessage_clear,
@@ -1651,9 +1620,9 @@ static PyTypeObject Message_Type = {
 static PyObject *
 ck_configure_protocol(PyObject *mod, PyObject *args)
 {
-    /* install the kind -> category map, the data-carrying kind set and
-     * the two wire sizes (repro.mem.protocol calls this at import so the
-     * C module never has to import protocol/messages itself) */
+    /* install the kind -> category map and the data-carrying kind set
+     * (repro.mem.protocol calls this once, at its import, so the C module
+     * never has to import protocol/messages itself) */
     PyObject *category, *carries;
     if (!PyArg_ParseTuple(args, "OO:configure_protocol", &category,
                           &carries))
@@ -1715,20 +1684,6 @@ ck_build_msg(PyObject *noc, long src, long dst, PyObject *kind,
     msg->payload = pd;
     msg->msg_id = message_counter++;
     return (PyObject *)msg;
-}
-
-static PyObject *
-ck_make_msg(PyObject *mod, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"noc", "src", "dst", "kind", "line", "payload",
-                             NULL};
-    PyObject *noc, *kind, *line, *payload = Py_None;
-    long src, dst;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OllUO|O:make_msg", kwlist,
-                                     &noc, &src, &dst, &kind, &line,
-                                     &payload))
-        return NULL;
-    return ck_build_msg(noc, src, dst, kind, line, payload);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1808,6 +1763,21 @@ ctag_parse_line(PyObject *arg)
     return v;
 }
 
+/* raise KeyError("line 0x40 <what>") with the pure class's wording
+ * (PyUnicode_FromFormat only gained %llx in Python 3.12) */
+static void
+ctag_key_error(PyObject *line, const char *what)
+{
+    PyObject *hex = PyNumber_ToBase(line, 16);
+    PyObject *msg = hex == NULL ? NULL
+        : PyUnicode_FromFormat("line %U %s", hex, what);
+    Py_XDECREF(hex);
+    if (msg != NULL) {
+        PyErr_SetObject(PyExc_KeyError, msg);
+        Py_DECREF(msg);
+    }
+}
+
 static PyObject *
 ctag_lookup(CTagArray *self, PyObject *arg)
 {
@@ -1832,16 +1802,11 @@ ctag_touch(CTagArray *self, PyObject *arg)
     long long line = ctag_parse_line(arg);
     if (line == -1 && PyErr_Occurred())
         return NULL;
-    long long idx = ctag_set_index(self, line);
-    PyObject *s = self->sets[idx];
-    if (s == NULL) {
-        PyErr_SetObject(PyExc_KeyError, PyLong_FromLongLong(idx));
-        return NULL;
-    }
-    PyObject *state = PyDict_GetItemWithError(s, arg);
+    PyObject *s = self->sets[ctag_set_index(self, line)];
+    PyObject *state = s == NULL ? NULL : PyDict_GetItemWithError(s, arg);
     if (state == NULL) {
         if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_KeyError, arg);
+            ctag_key_error(arg, "not resident");
         return NULL;
     }
     Py_INCREF(state);
@@ -1863,18 +1828,12 @@ ctag_set_state(CTagArray *self, PyObject *args)
     long long line = ctag_parse_line(arg);
     if (line == -1 && PyErr_Occurred())
         return NULL;
-    long long idx = ctag_set_index(self, line);
-    PyObject *s = self->sets[idx];
+    PyObject *s = self->sets[ctag_set_index(self, line)];
     int present = s == NULL ? 0 : PyDict_Contains(s, arg);
     if (present < 0)
         return NULL;
     if (!present) {
-        PyObject *msg = PyUnicode_FromFormat("line 0x%llx not resident",
-                                             (unsigned long long)line);
-        if (msg != NULL) {
-            PyErr_SetObject(PyExc_KeyError, msg);
-            Py_DECREF(msg);
-        }
+        ctag_key_error(arg, "not resident");
         return NULL;
     }
     /* plain assignment keeps the existing LRU position */
@@ -1906,12 +1865,7 @@ ctag_insert(CTagArray *self, PyObject *args, PyObject *kwds)
     if (present < 0)
         return NULL;
     if (present) {
-        PyObject *msg = PyUnicode_FromFormat("line 0x%llx already resident",
-                                             (unsigned long long)line);
-        if (msg != NULL) {
-            PyErr_SetObject(PyExc_KeyError, msg);
-            Py_DECREF(msg);
-        }
+        ctag_key_error(arg, "already resident");
         return NULL;
     }
     PyObject *victim = NULL;
@@ -2274,8 +2228,8 @@ cmesh_send(CMeshCore *self, PyObject *msg)
         category = m->category;
     }
     else {
-        /* a pure-Python Message constructed before the backend rebind;
-         * rare, but must route identically */
+        /* a repro.noc.messages.Message handed to the public Mesh.send;
+         * off the protocol hot path, but must route identically */
         PyObject *o;
         if ((o = PyObject_GetAttrString(msg, "src")) == NULL)
             return NULL;
@@ -2558,230 +2512,12 @@ static PyTypeObject MeshCore_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* L1Hit: the whole L1 cache-hit fast path in one C call               */
-/* ------------------------------------------------------------------ */
-
-/* Fuses L1Cache.try_hit — tag lookup, permission check, silent E->M
- * upgrade, LRU touch, BackingStore word op and access-counter bump —
- * into a single method call.  This is the single hottest path of the
- * simulator (every load/store/rmw that hits starts here).  Semantics
- * mirror the pure-Python try_hit exactly, including the unaligned-word
- * ValueError text and returning None for plain stores. */
-
-typedef struct {
-    PyObject_HEAD
-    CTagArray *tags;       /* the owning L1's compiled tag array */
-    PyObject *words;       /* BackingStore._words dict */
-    PyObject *counter;     /* l1.accesses BoundCounter */
-    PyObject *miss;        /* sentinel returned on insufficient permission */
-    PyObject *st_m;        /* the "M" state object (l1 module constant) */
-    PyObject *st_e;        /* the "E" state object */
-    long long word_bytes;
-} CL1Hit;
-
-static PyObject *long_zero;    /* cached int(0), created in module init */
-
-static int
-cl1hit_init(CL1Hit *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"tags", "words", "counter", "miss",
-                             "st_m", "st_e", "word_bytes", NULL};
-    PyObject *tags, *words, *counter, *miss, *st_m, *st_e;
-    long long word_bytes;
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "O!O!OOOOL:L1Hit", kwlist,
-            &TagArray_Type, &tags, &PyDict_Type, &words,
-            &counter, &miss, &st_m, &st_e, &word_bytes))
-        return -1;
-    if (word_bytes <= 0) {
-        PyErr_SetString(PyExc_ValueError, "word_bytes must be positive");
-        return -1;
-    }
-    Py_XSETREF(self->tags, (CTagArray *)Py_NewRef(tags));
-    Py_XSETREF(self->words, Py_NewRef(words));
-    Py_XSETREF(self->counter, Py_NewRef(counter));
-    Py_XSETREF(self->miss, Py_NewRef(miss));
-    Py_XSETREF(self->st_m, Py_NewRef(st_m));
-    Py_XSETREF(self->st_e, Py_NewRef(st_e));
-    self->word_bytes = word_bytes;
-    return 0;
-}
-
-static int
-cl1hit_traverse(CL1Hit *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->tags);
-    Py_VISIT(self->words);
-    Py_VISIT(self->counter);
-    Py_VISIT(self->miss);
-    Py_VISIT(self->st_m);
-    Py_VISIT(self->st_e);
-    return 0;
-}
-
-static int
-cl1hit_clear_gc(CL1Hit *self)
-{
-    Py_CLEAR(self->tags);
-    Py_CLEAR(self->words);
-    Py_CLEAR(self->counter);
-    Py_CLEAR(self->miss);
-    Py_CLEAR(self->st_m);
-    Py_CLEAR(self->st_e);
-    return 0;
-}
-
-static void
-cl1hit_dealloc(CL1Hit *self)
-{
-    PyObject_GC_UnTrack(self);
-    cl1hit_clear_gc(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-/* try_hit(line, want_m, addr, value, fn) -> result | MISS sentinel */
-static PyObject *
-cl1hit_try_hit(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError,
-                     "try_hit expects 5 arguments, got %zd", nargs);
-        return NULL;
-    }
-    PyObject *line = args[0];
-    PyObject *addr = args[2];
-    PyObject *value = args[3];
-    PyObject *fn = args[4];
-    int want_m = args[1] == Py_True
-        ? 1 : (args[1] == Py_False ? 0 : PyObject_IsTrue(args[1]));
-    if (want_m < 0)
-        return NULL;
-    CTagArray *tags = self->tags;
-    long long l = PyLong_AsLongLong(line);
-    if (l == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *set = tags->sets[ctag_set_index(tags, l)];
-    PyObject *state = NULL;
-    if (set != NULL) {
-        state = PyDict_GetItemWithError(set, line);  /* borrowed */
-        if (state == NULL && PyErr_Occurred())
-            return NULL;
-    }
-    if (state == NULL)
-        return Py_NewRef(self->miss);
-    int is_m = 0, is_e = 0;
-    if (want_m) {
-        /* states come from the l1 module constants, so pointer compares
-         * normally decide; fall back to equality for foreign strings */
-        is_m = state == self->st_m;
-        if (!is_m && (is_m = PyObject_RichCompareBool(
-                state, self->st_m, Py_EQ)) < 0)
-            return NULL;
-        if (!is_m) {
-            is_e = state == self->st_e;
-            if (!is_e && (is_e = PyObject_RichCompareBool(
-                    state, self->st_e, Py_EQ)) < 0)
-                return NULL;
-        }
-        if (!is_m && !is_e)
-            return Py_NewRef(self->miss);
-        if (is_e) {
-            /* silent E->M upgrade; plain assignment keeps LRU position */
-            if (PyDict_SetItem(set, line, self->st_m) < 0)
-                return NULL;
-            state = self->st_m;
-        }
-    }
-    /* LRU touch: pop + reinsert moves the line to MRU */
-    Py_INCREF(state);
-    if (PyDict_DelItem(set, line) < 0
-            || PyDict_SetItem(set, line, state) < 0) {
-        Py_DECREF(state);
-        return NULL;
-    }
-    Py_DECREF(state);
-    /* the backing-store word op (positional encoding, see try_hit) */
-    long long a = PyLong_AsLongLong(addr);
-    if (a == -1 && PyErr_Occurred())
-        return NULL;
-    if (a % self->word_bytes) {
-        PyErr_Format(PyExc_ValueError, "unaligned word address %#llx",
-                     (unsigned long long)a);
-        return NULL;
-    }
-    PyObject *result;
-    if (fn != Py_None) {
-        /* rmw: old = words.get(addr, 0); words[addr] = fn(old) */
-        PyObject *old = PyDict_GetItemWithError(self->words, addr);
-        if (old == NULL) {
-            if (PyErr_Occurred())
-                return NULL;
-            old = long_zero;
-        }
-        Py_INCREF(old);
-        PyObject *new_val = PyObject_CallOneArg(fn, old);
-        if (new_val == NULL) {
-            Py_DECREF(old);
-            return NULL;
-        }
-        if (PyDict_SetItem(self->words, addr, new_val) < 0) {
-            Py_DECREF(new_val);
-            Py_DECREF(old);
-            return NULL;
-        }
-        Py_DECREF(new_val);
-        result = old;
-    } else if (want_m) {
-        /* store: pure BackingStore.write returns None */
-        if (PyDict_SetItem(self->words, addr, value) < 0)
-            return NULL;
-        result = Py_NewRef(Py_None);
-    } else {
-        /* load */
-        PyObject *v = PyDict_GetItemWithError(self->words, addr);
-        if (v == NULL) {
-            if (PyErr_Occurred())
-                return NULL;
-            v = long_zero;
-        }
-        result = Py_NewRef(v);
-    }
-    if (counter_iadd(self->counter, 1) < 0) {
-        Py_DECREF(result);
-        return NULL;
-    }
-    return result;
-}
-
-static PyMethodDef cl1hit_methods[] = {
-    {"try_hit", (PyCFunction)cl1hit_try_hit, METH_FASTCALL,
-     "Fused L1 hit path: lookup + touch + word op + counter in one call."},
-    {NULL}
-};
-
-static PyTypeObject L1Hit_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ckernel.L1Hit",
-    .tp_basicsize = sizeof(CL1Hit),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled L1 cache-hit fast path (see repro.mem.l1).",
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)cl1hit_init,
-    .tp_dealloc = (destructor)cl1hit_dealloc,
-    .tp_traverse = (traverseproc)cl1hit_traverse,
-    .tp_clear = (inquiry)cl1hit_clear_gc,
-    .tp_methods = cl1hit_methods,
-};
-
-/* ------------------------------------------------------------------ */
 /* module init                                                         */
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef ckernel_module_methods[] = {
     {"configure_protocol", (PyCFunction)ck_configure_protocol, METH_VARARGS,
      "Install the protocol kind->category map and data-carrying set."},
-    {"make_msg", (PyCFunction)ck_make_msg, METH_VARARGS | METH_KEYWORDS,
-     "Build a protocol Message (compiled repro.mem.protocol.make_msg)."},
     {NULL}
 };
 
@@ -2847,11 +2583,7 @@ PyInit__ckernel(void)
             || PyType_Ready(&Process_Type) < 0
             || PyType_Ready(&Message_Type) < 0
             || PyType_Ready(&TagArray_Type) < 0
-            || PyType_Ready(&MeshCore_Type) < 0
-            || PyType_Ready(&L1Hit_Type) < 0)
-        goto fail;
-
-    if ((long_zero = PyLong_FromLong(0)) == NULL)
+            || PyType_Ready(&MeshCore_Type) < 0)
         goto fail;
 
     PyObject *mod = PyModule_Create(&ckernel_module);
@@ -2869,8 +2601,6 @@ PyInit__ckernel(void)
                                      (PyObject *)&TagArray_Type) < 0
             || PyModule_AddObjectRef(mod, "MeshCore",
                                      (PyObject *)&MeshCore_Type) < 0
-            || PyModule_AddObjectRef(mod, "L1Hit",
-                                     (PyObject *)&L1Hit_Type) < 0
             || PyModule_AddObjectRef(mod, "SimulationError",
                                      SimulationError) < 0
             || PyModule_AddObjectRef(mod, "SimDeadlockError",

@@ -32,17 +32,24 @@ as *factories* that late-bind to the active backend; ``isinstance``
 checks against processes must use :data:`PROCESS_TYPES`, which covers
 both implementations.
 
-Component-level accelerators (the C ``TagArray``, ``Message`` and mesh
-core) follow the kernel backend: modules register a callback with
-:func:`on_backend_change` and rebind their hot-path helpers whenever the
-backend flips, so ``--backend=pure`` measures an honest all-Python
-configuration even when the extension is built.
+Component accelerators
+----------------------
+
+The extension also carries C twins of two components: the cache tag
+array (``repro.mem.cache.tag_array``) and the mesh core, whose
+``send_proto`` builds each protocol message as a C ``Message`` record
+(``repro.noc.topology.Mesh``).  A component picks its twin once, when it
+is built, from the type of the simulator it is built on, using
+:func:`compiled_impl`.  Nothing rebinds when the backend switches, so a
+pure simulator's machine is all Python even when the extension is built,
+and ``repro.mem.cache.TagArray``, ``repro.noc.messages.Message`` and
+``repro.mem.protocol.make_msg`` always name the Python implementations.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.sim import _kernel_pure as _pure
 from repro.sim._kernel_pure import SimDeadlockError, SimulationError
@@ -51,7 +58,7 @@ __all__ = [
     "Simulator", "Signal", "Process", "SimulationError", "SimDeadlockError",
     "BackendUnavailableError", "PROCESS_TYPES", "SIGNAL_TYPES",
     "active_backend", "available_backends", "set_backend",
-    "on_backend_change", "resolve_backend",
+    "resolve_backend",
 ]
 
 #: environment knob consulted at import (and exported to worker processes
@@ -81,8 +88,6 @@ if _ckernel is not None:
 PROCESS_TYPES = tuple(impl.Process for impl in _IMPLS.values())
 #: same for signals (waiter-list introspection in the sanitizer)
 SIGNAL_TYPES = tuple(impl.Signal for impl in _IMPLS.values())
-
-_listeners: List[Callable[[str], None]] = []
 
 
 def available_backends() -> List[str]:
@@ -118,29 +123,15 @@ def active_backend() -> str:
     return _active
 
 
-def on_backend_change(callback: Callable[[str], None]) -> None:
-    """Register ``callback(backend_name)``, invoked now and on each switch.
-
-    Used by component modules (messages, caches, mesh) to rebind their
-    accelerated helpers so they always match the kernel backend.
-    """
-    _listeners.append(callback)
-    callback(_active)
-
-
 def set_backend(name: str) -> str:
     """Switch the active backend; returns the concrete backend selected.
 
-    Existing simulators keep their implementation; only subsequently
-    constructed ones (and the component helper bindings) change.
+    Existing simulators, and the components built on them, keep their
+    implementation; only subsequently constructed simulators change.
     """
     global _active
-    concrete = resolve_backend(name)
-    if concrete != _active:
-        _active = concrete
-        for callback in _listeners:
-            callback(concrete)
-    return concrete
+    _active = resolve_backend(name)
+    return _active
 
 
 # --------------------------------------------------------------------- #
@@ -162,9 +153,9 @@ def Process(sim, gen, name: Optional[str] = None):
 
 
 def compiled_impl():
-    """The compiled backend module, or ``None`` when not built.
+    """The compiled backend module, or ``None`` when not built (or hidden).
 
-    Component modules (e.g. the mesh) use this to reach the C helper
-    types (``MeshCore``, ``TagArray``) that have no pure counterpart.
+    Components use it to reach their C twins (``MeshCore``, ``TagArray``)
+    and take them only when their simulator is the compiled ``Simulator``.
     """
     return _ckernel

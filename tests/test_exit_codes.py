@@ -81,6 +81,7 @@ def test_exit_1_lint_findings(tmp_path, capsys):
     assert main(["lint", str(bad)]) == 1
 
 
+@pytest.mark.intentionally_racy
 def test_exit_1_run_race_detect(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "make_workload",

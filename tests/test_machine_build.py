@@ -24,6 +24,8 @@ import pytest
 from repro.core.network import GLineNetwork
 from repro.faults import FaultPlan
 from repro.machine import Machine
+from repro.mem.cache import TagArray
+from repro.noc.messages import Message
 from repro.noc.topology import Link
 from repro.sim import kernel
 from repro.sim.config import CMPConfig
@@ -92,6 +94,30 @@ def test_sanitized_mcs_run_wires_no_network(backend, sanitized_machine_factory):
     assert not any(isinstance(obj, GLineNetwork) for obj in new)
     if backend == "compiled":
         assert new == []
+
+
+def test_machine_takes_its_accelerators_from_its_simulator(backend):
+    """A pure simulator's machine is all Python, even after the compiled
+    kernel was imported first; a compiled one uses the C tag arrays and
+    mesh core."""
+    machine = Machine(CMPConfig.baseline(16))
+    mem = machine.mem
+    tag_types = {type(cache.tags) for cache in [*mem.l1s, *mem.l2s]}
+    if backend == "compiled":
+        impl = kernel.compiled_impl()
+        assert tag_types == {impl.TagArray}
+        assert isinstance(mem.mesh._core, impl.MeshCore)
+        return
+    assert tag_types == {TagArray}
+    assert mem.mesh._core is None
+    sent = []
+    send = mem.mesh.send
+    mem.mesh.send = lambda msg: sent.append(type(msg)) or send(msg)
+    instance = SingleCounter(iterations=32).instantiate(
+        machine, hc_kind="mcs")
+    machine.run(instance.programs)
+    instance.validate(machine)
+    assert sent and set(sent) == {Message}, f"{len(sent)} messages"
 
 
 def test_glock_run_wires_only_the_device_it_uses(backend):
