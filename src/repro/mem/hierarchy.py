@@ -2,8 +2,8 @@
 
 :class:`MemorySystem` is the substrate object workloads and lock algorithms
 talk to.  Each tile registers a single dispatcher with the mesh that routes
-home-bound protocol messages to the tile's L2/directory slice and the rest
-to its L1 (see :mod:`repro.mem.protocol` for the kind sets).
+each protocol message to the tile's L1 or L2/directory slice, whichever
+:data:`repro.mem.protocol.KINDS` names as its receiver.
 
 The memory controller is folded into the L2 slice: an L2 miss pays the
 fixed 400-cycle DRAM latency and bumps ``mem.reads``/``mem.writes`` counters
@@ -51,13 +51,11 @@ class MemorySystem:
             self.mesh.register(tile, dispatch, route=route)
 
     def _make_dispatcher(self, tile: int):
-        # kind -> bound per-kind handler, resolved once per tile: routing
-        # a message is then a single dict probe straight into the specific
-        # protocol action, with no kind-test chain.  The table is also
-        # handed to the mesh so the compiled core can deliver without
-        # this Python frame.
-        route = dict(self.l2s[tile].route_table())
-        route.update(self.l1s[tile].route_table())
+        # kind -> receiving controller, resolved once per tile: routing a
+        # message is then a single dict probe.  The table is also handed
+        # to the mesh so the compiled core can deliver without this frame.
+        receive = {P.L1: self.l1s[tile].receive, P.DIR: self.l2s[tile].receive}
+        route = {kind: receive[who] for kind, (who, _, _) in P.KINDS.items()}
 
         def dispatch(msg: Message) -> None:
             handler = route.get(msg.kind)
@@ -87,10 +85,7 @@ class MemorySystem:
             home = home_of(line, line_bytes, self.config.n_cores)
             l2 = self.l2s[home]
             if l2.tags.lookup(line) is None:
-                l2.tags.insert(
-                    line, "clean",
-                    may_evict=lambda cand, l2=l2: not l2._entry(cand).held_by_l1,
-                )
+                l2.tags.insert(line, "clean", may_evict=l2.evictable)
 
     # ------------------------------------------------------------------ #
     # convenience accessors

@@ -2,8 +2,10 @@
 
 The L1 exposes coroutine methods (``load`` / ``store`` / ``rmw`` /
 ``spin_until``) that the core's thread program drives with ``yield from``,
-and a :meth:`handle` callback the mesh invokes for incoming protocol
-messages (data grants, invalidations, recalls).
+and a :meth:`receive` callback the mesh invokes for incoming protocol
+messages (data grants, invalidations, forwards).  Misses, messages and
+evictions take the L1 rows of :data:`repro.mem.protocol.ROWS`; hits read
+the table's hit rows through two state maps.
 
 Linearization rule (see DESIGN.md): a memory operation's *value effect* is
 applied to the global backing store at the instant the L1 gains sufficient
@@ -23,10 +25,10 @@ and energy match the naive cycle-by-cycle loop (DESIGN.md substitution 3).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.mem import protocol as P
-from repro.mem.address import home_of, line_of
+from repro.mem.address import line_of
 from repro.mem.backing import BackingStore
 from repro.mem import cache
 from repro.noc.messages import Message
@@ -37,13 +39,6 @@ from repro.sim.stats import CounterSet
 
 __all__ = ["L1Cache"]
 
-# MESI states kept in the tag array
-M, E, S = "M", "E", "S"
-
-# fill reply kind -> resulting MESI state (module constant: _install runs
-# once per miss and must not rebuild this map each time)
-_FILL_STATE = {P.DATA: S, P.DATA_E: E, P.DATA_M: M}
-
 #: sentinel returned by :meth:`L1Cache.try_hit` when the access needs a
 #: directory transaction (distinct from every real word value, None included)
 MISS = object()
@@ -51,6 +46,10 @@ MISS = object()
 
 class L1Cache:
     """One core's private L1 data cache."""
+
+    # state -> next state of the table's hit rows, per access kind
+    _load_hit = P.hits(P.LOAD)
+    _store_hit = P.hits(P.STORE)
 
     def __init__(
         self,
@@ -78,10 +77,11 @@ class L1Cache:
         # fused make_msg+send entry point, resolved once (bound C method
         # when the compiled mesh core is active)
         self._send_proto = mesh.send_proto
-        # the line of the outstanding transaction, if any; its reply is
-        # always delivered through the (reused) _fill_sig because in-order
-        # cores have exactly one op in flight
+        # the line of the outstanding transaction, if any, and its
+        # transient state; its reply is always delivered through the
+        # (reused) _fill_sig because in-order cores have one op in flight
         self._pending: Optional[int] = None
+        self._pending_state = ""
         self._fill_sig = sim.signal(f"l1-{core_id}-fill")
         # line -> watch signal for spin_until sleepers; signals persist
         # across fires so the spin-wakeup path allocates nothing
@@ -165,10 +165,11 @@ class L1Cache:
         """
         tags = self.tags
         state = tags.lookup(line)
-        if state is None or (want_m and state != M and state != E):
+        nxt = (self._store_hit if want_m else self._load_hit).get(state)
+        if nxt is None:
             return MISS
-        if want_m and state == E:
-            tags.set_state(line, M)  # silent E->M upgrade
+        if nxt != state:
+            tags.set_state(line, nxt)  # silent E->M upgrade
         tags.touch(line)
         if fn is not None:
             result = self.backing.apply(addr, fn)
@@ -190,25 +191,19 @@ class L1Cache:
     def _miss(self, line: int, want_m: bool, addr: int,
               value: Optional[int], fn: Optional[Callable[[int], int]]):
         # miss (or S->M upgrade): one transaction through the directory
-        state = self.tags.lookup(line)
         self._c_misses.value += 1
         if self._pending is not None:
             raise RuntimeError(
                 f"L1 {self.core_id}: second outstanding miss on "
                 f"line {line:#x} (cores are in-order)"
             )
-        self._pending = line
-        home = (line // self._line_bytes) % self._n_tiles
-        if not want_m:
-            kind = P.GETS
-        elif state is not None:
-            kind = P.UPGRADE  # we still hold S; a dataless grant suffices
-        else:
-            kind = P.GETM
-        self._send_proto(self._noc, self.core_id, home, kind, line)
-        yield self._fill_sig  # fires once handle() has installed the line
-        # the line was installed synchronously in handle() at delivery time,
-        # so same-cycle recalls/invalidations observe a consistent tag state
+        state = self.tags.lookup(line) or "I"
+        event = P.STORE if want_m else P.LOAD
+        row = self._rows.get((state, event)) or self._no_row(line, state, event)
+        row(self, line, None)
+        yield self._fill_sig  # fires once the reply has installed the line
+        # the line was installed synchronously at delivery time, so
+        # same-cycle recalls/invalidations observe a consistent tag state
         if fn is not None:
             result = self.backing.apply(addr, fn)
         elif want_m:
@@ -219,124 +214,76 @@ class L1Cache:
         yield self.hit_latency
         return result
 
-    def _evict(self, line: int, state: object) -> None:
-        home = home_of(line, self.config.line_bytes, self.config.n_cores)
-        if state == M:
-            self.counters.add("l1.writebacks")
-            self._send_proto(self._noc, self.core_id, home, P.WB_DATA, line)
-        elif state == E:
-            self._send_proto(self._noc, self.core_id, home, P.EVICT_CLEAN, line)
-        # S evictions are silent
-        self._wake_watchers(line)
+    # ------------------------------------------------------------------ #
+    # dispatch
+    # ------------------------------------------------------------------ #
+    def receive(self, msg: Message) -> None:
+        """An L1-bound message, delivered by the mesh."""
+        line = msg.payload["line"]
+        if line == self._pending:
+            state = self._pending_state
+        else:
+            state = self.tags.lookup(line) or "I"
+        row = self._rows.get((state, msg.kind)) or self._no_row(
+            line, state, msg.kind)
+        row(self, line, msg)
+
+    def _take(self, line: int, state: str, event: str,
+              msg: Optional[Message]) -> None:
+        """Take the transition of ``event`` with ``line`` in ``state``.
+
+        ``receive`` and ``_miss`` repeat these two lines instead of
+        calling here: they run once per message and miss, and the saved
+        call is measurable.
+        """
+        row = self._rows.get((state, event)) or self._no_row(
+            line, state, event)
+        row(self, line, msg)
+
+    def _no_row(self, line: int, state: str, event: str):
+        raise RuntimeError(f"L1 {self.core_id}: no transition for "
+                           f"{line:#x} in {state} on {event}")
 
     # ------------------------------------------------------------------ #
-    # incoming protocol messages (mesh callback)
+    # actions (named by the L1 rows of repro.mem.protocol.ROWS)
     # ------------------------------------------------------------------ #
-    def handle(self, msg: Message) -> None:
-        """Process a message routed to this L1 by the tile dispatcher.
+    ROW_ARGS = "self, line, msg"
 
-        Kept as the catch-all entry point for tests and direct callers;
-        the tile route table delivers straight to the per-kind handlers
-        below, so no kind chain runs on the hot delivery path.
-        """
-        kind = msg.kind
-        if kind in (P.DATA, P.DATA_E, P.DATA_M, P.GRANT_M, P.DATA_C2C):
-            self._on_fill(msg)
-        elif kind == P.INV:
-            self._on_inv(msg)
-        elif kind in (P.FWD_GETS, P.FWD_GETM):
-            self._handle_forward(msg)
-        else:  # pragma: no cover - dispatcher guarantees the kind set
-            raise RuntimeError(f"L1 {self.core_id}: unexpected {msg.kind}")
+    @staticmethod
+    def enter(state: str, nxt: str) -> List[str]:
+        """Record ``nxt`` where the tags do not: the outstanding miss."""
+        if nxt not in P.L1_TRANSIENT:
+            return ["self._pending = None"] if state in P.L1_TRANSIENT else []
+        code = [] if state in P.L1_TRANSIENT else ["self._pending = line"]
+        if nxt != state:
+            code.append(f"self._pending_state = {nxt!r}")
+        return code
 
-    def route_table(self) -> Dict[str, Callable[[Message], None]]:
-        """Kind -> handler map for the tile dispatcher (one probe per msg)."""
-        fill, forward = self._on_fill, self._handle_forward
-        return {P.DATA: fill, P.DATA_E: fill, P.DATA_M: fill,
-                P.GRANT_M: fill, P.DATA_C2C: fill, P.INV: self._on_inv,
-                P.FWD_GETS: forward, P.FWD_GETM: forward}
-
-    def _on_fill(self, msg: Message) -> None:
-        """Data grant / upgrade grant / cache-to-cache fill delivery.
-
-        The line-install logic is folded in (rather than a helper call):
-        this handler runs once per L1 miss.
-        """
-        line = msg.payload["line"]
-        if self._pending != line:
-            raise RuntimeError(
-                f"L1 {self.core_id}: fill for {line:#x} but "
-                f"pending {self._pending!r}"
-            )
-        self._pending = None
-        kind = msg.kind
-        tags = self.tags
-        if kind == P.GRANT_M:
-            # upgrade: the line must still be resident in S
-            tags.set_state(line, M)
-            tags.touch(line)
-            self._fill_sig.fire(msg)
-            return
-        if kind == P.DATA_C2C:
-            new_state = M if msg.payload["extra"]["grant"] == "M" else S
-        else:
-            new_state = _FILL_STATE[kind]
-        if tags.lookup(line) is not None:
-            # S->M where the directory chose to send full data
-            tags.set_state(line, new_state)
-            tags.touch(line)
-        else:
-            victim = tags.insert(line, new_state)
-            if victim is not None:
-                self._evict(*victim)
-        if kind == P.DATA_C2C:
-            # tell the home the transfer landed so it can unblock the line
-            home = (line // self._line_bytes) % self._n_tiles
-            self._send_proto(self._noc, self.core_id, home, P.UNBLOCK, line)
-        self._fill_sig.fire(msg)
-
-    def _on_inv(self, msg: Message) -> None:
-        """Directory invalidation: drop the line and ack the home."""
-        line = msg.payload["line"]
-        self.tags.invalidate(line)
-        self._wake_watchers(line)
-        home = (line // self._line_bytes) % self._n_tiles
-        self._send_proto(self._noc, self.core_id, home, P.INV_ACK, line)
-
-    def _handle_forward(self, msg: Message) -> None:
-        """Serve a forwarded request with a direct cache-to-cache transfer."""
-        line = msg.payload["line"]
-        requester = msg.payload["extra"]["requester"]
-        state = self.tags.lookup(line)
-        home = (line // self._line_bytes) % self._n_tiles
-        noc = self._noc
-        if state is None:
-            # already evicted; the eviction notice is ahead of this ack and
-            # the home will serve the requester from its own copy
-            self._send_proto(noc, self.core_id, home, P.RECALL_ACK,
-                             line, {"present": False})
-            return
-        dirty = state == M
-        if msg.kind == P.FWD_GETS:
-            self.tags.set_state(line, S)
-            grant = "S"
-        else:
-            self.tags.invalidate(line)
-            self._wake_watchers(line)
-            grant = "M"
-        self.counters.add("l1.c2c_transfers")
-        self._send_proto(noc, self.core_id, requester, P.DATA_C2C,
-                         line, {"grant": grant})
-        # notify the home (with data if we were dirty, so its L2 copy is
-        # marked stale/dirty for writeback accounting)
-        kind = P.RECALL_DATA if dirty and grant == "S" else P.RECALL_ACK
-        self._send_proto(noc, self.core_id, home, kind,
-                         line, {"present": True})
-
-    def _wake_watchers(self, line: int) -> None:
-        watch = self._watches.get(line)
-        if watch is not None:
-            watch.fire()
+    _TO_HOME = ("self._send_proto(self._noc, self.core_id, "
+                "line // self._line_bytes % self._n_tiles, ")
+    ACTIONS = {
+        "send": _TO_HOME + "{arg}, line, None)",
+        "writeback": "self.counters.add('l1.writebacks')\n"
+                     + _TO_HOME + "P.WB_DATA, line, None)",
+        "recall": _TO_HOME + "{arg}, line, {{'present': True}})",
+        "absent": _TO_HOME + "P.RECALL_ACK, line, {{'present': False}})",
+        "wake": "watch = self._watches.get(line)\n"
+                "if watch is not None:\n"
+                "    watch.fire()",
+        "invalidate": "self.tags.invalidate(line)",
+        "downgrade": "self.tags.set_state(line, 'S')",
+        "c2c": "self.counters.add('l1.c2c_transfers')\n"
+               "self._send_proto(self._noc, self.core_id, "
+               "msg.payload['extra']['requester'], P.DATA_C2C, line, "
+               "{{'grant': {arg}}})",
+        "fill": "victim = self.tags.insert(line, {arg})\n"
+                "if victim is not None:\n"
+                "    self._take(victim[0], victim[1], P.REPLACEMENT, None)",
+        "grant": "self.tags.set_state(line, {arg})\n"
+                 "self.tags.touch(line)",
+        "done": "self._fill_sig.fire(msg)",
+    }
+    del _TO_HOME
 
     # ------------------------------------------------------------------ #
     # introspection (tests/diagnostics)
@@ -345,3 +292,7 @@ class L1Cache:
         """MESI state of the line containing ``addr`` (None if absent)."""
         state = self.tags.lookup(line_of(addr, self.config.line_bytes))
         return None if state is None else str(state)
+
+
+#: (state, event) -> row function of the L1 rows
+L1Cache._rows = P.bind(L1Cache, P.L1)

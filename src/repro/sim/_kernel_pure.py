@@ -181,8 +181,8 @@ class Process:
         self._gen = gen
         self.finished = False
         self.result: Any = None
-        # built on first access of ``done``: most processes (the
-        # directory's home transactions) are never joined or waited on
+        # built on first access of ``done``: most processes (thread
+        # programs) are never joined or waited on
         self._done: Optional[Signal] = None
         #: the :class:`Signal` this process is currently suspended on, if any
         #: (diagnostic: the deadlock watchdog names it in its report).

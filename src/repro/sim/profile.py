@@ -61,8 +61,8 @@ _INSTANCE_MARKERS = re.compile(r"0x[0-9a-fA-F]+|\d+")
 
 def _role_of(name: str) -> str:
     """A process/signal name with instance markers (ids, addresses) removed,
-    so e.g. ``core0..core31`` and ``home3-GetS-0x1f40`` aggregate as the
-    roles ``core`` and ``home-GetS``."""
+    so e.g. ``core0..core31`` and ``watch0x1f40`` aggregate as the roles
+    ``core`` and ``watch``."""
     return _INSTANCE_MARKERS.sub("", name).strip("-_.:") or "unnamed"
 
 

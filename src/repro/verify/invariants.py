@@ -12,7 +12,12 @@ event:
   ``starvation_bound`` cycles (catches lost TOKEN/REL signals long before
   the run's ``max_events`` valve trips);
 - **token-network sanity** — a device's primary manager never ends up
-  token-less while the whole network is idle.
+  token-less while the whole network is idle;
+- **protocol conformance** — every MESI transition an L1 or directory
+  takes is a row of :data:`repro.mem.protocol.ROWS`, the state it leaves
+  the line in is that row's next state, and every L1 fill leaves the line
+  with one E/M holder or only sharers.  The sanitizer's
+  ``transitions_seen`` records the rows taken.
 
 At drain (:meth:`at_drain`, called by ``Machine.run`` once all thread
 programs finished) it additionally checks that no process is left
@@ -30,8 +35,9 @@ or directly::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.mem import protocol as P
 from repro.sim.kernel import (PROCESS_TYPES, Process, SimulationError,
                               Simulator)
 
@@ -70,6 +76,10 @@ class InvariantSanitizer:
         self._last_now = 0
         # (device lock_id, core) -> cycle the request was first observed
         self._wait_since: Dict[Tuple[int, int], int] = {}
+        #: (controller, state, event) of every protocol transition taken
+        self.transitions_seen: Set[Tuple[str, str, str]] = set()
+        # (object, attribute) the protocol checks replaced, to undo on detach
+        self._patched: List[Tuple[object, str]] = []
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -87,14 +97,76 @@ class InvariantSanitizer:
             raise RuntimeError("machine already has a sanitizer attached")
         sim.enable_signal_registry()
         sim.add_on_event(self._on_event)
+        self._check_transitions()
         self.machine.sanitizer = self
         return self
 
     def detach(self) -> None:
-        """Remove the hook (the signal registry stays enabled)."""
+        """Remove the hooks (the signal registry stays enabled)."""
         self.machine.sim.remove_on_event(self._on_event)
+        for obj, attr in self._patched:
+            delattr(obj, attr)
+        self._patched = []
         if self.machine.sanitizer is self:
             self.machine.sanitizer = None
+
+    # ------------------------------------------------------------------ #
+    # protocol conformance
+    # ------------------------------------------------------------------ #
+    def _check_transitions(self) -> None:
+        """Give every controller the checked build of its rows, which
+        reports each transition to this sanitizer, and hit maps that
+        record each hit.
+
+        These shadow the class's tables on the instance, so an
+        unsanitized run pays nothing per message or access.
+        """
+        mem = self.machine.mem
+        load_hit = _RecordedHits(P.LOAD, self.transitions_seen)
+        store_hit = _RecordedHits(P.STORE, self.transitions_seen)
+        for controllers, role, observer in (
+                (mem.l1s, P.L1, self._l1_transition),
+                (mem.l2s, P.DIR, self._dir_transition)):
+            rows = P.bind(type(controllers[0]), role, checked=True)
+            for ctrl in controllers:
+                ctrl._rows, ctrl._observer = rows, observer
+                self._patched += [(ctrl, "_rows"), (ctrl, "_observer")]
+        for l1 in mem.l1s:
+            l1._load_hit, l1._store_hit = load_hit, store_hit
+            self._patched += [(l1, "_load_hit"), (l1, "_store_hit")]
+
+    def _l1_transition(self, l1, line: int, msg, row) -> None:
+        state, event, nxt = row
+        self.transitions_seen.add((P.L1, state, event))
+        held = l1.tags.lookup(line) or "I"
+        # a miss in flight keeps the tags it started from
+        if held != {"IS": "I", "IM": "I", "SM": "S"}.get(nxt, nxt):
+            raise InvariantViolation(
+                f"L1 {l1.core_id}: {event} in {state} left {line:#x} in "
+                f"{held}, but its row says {nxt}")
+        if state in P.L1_TRANSIENT and nxt not in P.L1_TRANSIENT:
+            self._check_single_writer(line)
+
+    def _dir_transition(self, home, line: int, entry, msg, row) -> None:
+        state, event, nxt = row
+        self.transitions_seen.add((P.DIR, state, event))
+        if nxt in P.DIR_IDLE:
+            held = ("EM" if entry.owner is not None
+                    else "S" if entry.sharers else "I")
+            if held != nxt:
+                raise InvariantViolation(
+                    f"home {home.tile_id}: {event} in {state} left "
+                    f"{line:#x} in {held}, but its row says {nxt}")
+
+    def _check_single_writer(self, line: int) -> None:
+        """MESI: one E/M holder, or any number of S holders."""
+        held = {l1.core_id: state for l1 in self.machine.mem.l1s
+                if (state := l1.tags.lookup(line)) is not None}
+        writers = sum(state in ("E", "M") for state in held.values())
+        if writers and len(held) > 1:
+            raise InvariantViolation(
+                f"line {line:#x} is held as {held} after a fill: MESI "
+                "allows one E/M holder or only sharers")
 
     # ------------------------------------------------------------------ #
     # per-event checkpoint
@@ -146,12 +218,12 @@ class InvariantSanitizer:
         sim: Simulator = self.machine.sim
         # A suspended process is provably orphaned only once the event queue
         # is empty: nothing can ever fire its signal.  When events remain,
-        # the parallel phase ended mid-flight and abandoned helpers
-        # (directory transactions, pollers) are expected — see
-        # run_until_processes_finish.  Plain callback waiters are never
-        # orphans for the same reason.  The kernel holds every unfinished
-        # process while the registry is on, so one stuck on a signal
-        # nothing else references keeps that signal registered.
+        # the parallel phase ended mid-flight and abandoned helpers (such
+        # as pollers) are expected — see run_until_processes_finish.
+        # Plain callback waiters are never orphans for the same reason.
+        # The kernel holds every unfinished process while the registry is
+        # on, so one stuck on a signal nothing else references keeps that
+        # signal registered.
         if sim.pending_events == 0:
             orphans: List[str] = []
             for sig in sim.live_signals():
@@ -183,6 +255,22 @@ class InvariantSanitizer:
                     f"GLock {device.lock_id}: cores "
                     f"{sorted(device.waiters)} still wait "
                     "for a TOKEN after the parallel phase")
+
+
+class _RecordedHits(dict):
+    """An L1 hit map (state -> next state) that records each hit taken;
+    the hit path writes the next state it reads from here."""
+
+    def __init__(self, event: str, seen: Set[Tuple[str, str, str]]) -> None:
+        super().__init__(P.hits(event))
+        self._event = event
+        self._seen = seen
+
+    def get(self, state, default=None):
+        nxt = dict.get(self, state, default)
+        if nxt is not None:
+            self._seen.add((P.L1, state, self._event))
+        return nxt
 
 
 def attach_sanitizer(machine, **kwargs) -> InvariantSanitizer:

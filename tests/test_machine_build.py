@@ -9,8 +9,9 @@ come into existence, on every available kernel backend.
 
 The same rule holds while a run goes on and before it starts: the kernel
 keeps a process only while it has work pending (its ``done`` signal is
-built when first asked for), and numpy loads only with the workloads and
-analyses that use it.
+built when first asked for), the directory runs its transactions as
+per-line state machines (no process, no signal), and numpy loads only
+with the workloads and analyses that use it.
 """
 
 import gc
@@ -24,6 +25,7 @@ import pytest
 from repro.core.network import GLineNetwork
 from repro.faults import FaultPlan
 from repro.machine import Machine
+from repro.mem import protocol as P
 from repro.mem.cache import TagArray
 from repro.noc.messages import Message
 from repro.noc.topology import Link
@@ -96,6 +98,38 @@ def test_sanitized_mcs_run_wires_no_network(backend, sanitized_machine_factory):
         assert new == []
 
 
+def test_a_run_spawns_only_its_thread_programs(backend,
+                                              sanitized_machine_factory):
+    """Directory transactions take no process and no signal: a 16-core
+    mcs run spawns its 16 thread programs and nothing else."""
+    machine, _ = sanitized_machine_factory(CMPConfig.baseline(16))
+    sim = machine.sim
+    signals = set()
+    sim.add_on_event(
+        lambda sim: signals.update(sig.name for sig in sim.live_signals()))
+    instance = SingleCounter(iterations=32).instantiate(
+        machine, hc_kind="mcs")
+    machine.run(instance.programs)
+    instance.validate(machine)
+    # default names count every spawn: proc16 follows the 16 programs
+    spawned = sim.spawn(_returns(None)).name
+    per_transaction = sorted(name for name in signals if name.startswith(
+        ("fwd-", "acks-", "unblock-")))
+    assert (spawned, per_transaction[:3]) == ("proc16", [])
+
+
+@pytest.mark.parametrize("kind", [P.INV_ACK, P.UNBLOCK])
+def test_a_message_no_row_expects_raises(backend, kind):
+    """An InvAck with no acks pending, or an Unblock for an idle line,
+    names the tile, the line, its state and the message."""
+    machine = Machine(CMPConfig.baseline(4))
+    line = 0x10000                               # homed at tile 0
+    machine.mem.mesh.send_proto(machine.config.noc, 1, 0, kind, line)
+    message = f"home 0: no transition for 0x10000 in I on {kind}"
+    with pytest.raises(RuntimeError, match=message):
+        machine.sim.run()
+
+
 def test_machine_takes_its_accelerators_from_its_simulator(backend):
     """A pure simulator's machine is all Python, even after the compiled
     kernel was imported first; a compiled one uses the C tag arrays and
@@ -157,7 +191,7 @@ def test_unknown_arbitration_still_raises_at_construction():
 
 def test_finished_processes_are_freed(backend):
     """No spawn history: once a run returns, the processes that finished
-    in it (cores and the directory's home transactions) are garbage."""
+    in it (the thread programs) are garbage."""
     before = _live(kernel.PROCESS_TYPES)
     machine = Machine(CMPConfig.baseline(16))
     instance = SingleCounter(iterations=32).instantiate(

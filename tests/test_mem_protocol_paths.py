@@ -2,14 +2,18 @@
 
 These pin the behaviours DESIGN.md promises: per-line blocking with FIFO
 service, the Upgrade/GetM distinction after silent S evictions, the
-first-owner-message-wins rule when evictions cross with forwards, and the
-requester-unblock handshake for cache-to-cache transfers.
+first-owner-message-wins rule when evictions cross with forwards, the
+requester-unblock handshake for cache-to-cache transfers, stale
+absent-acks, and an L2 that never evicts a line in flight.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 
 from repro import CMPConfig, Machine
-from repro.mem import protocol as P
+from repro.sim.config import CacheConfig
 
 
 def make_machine(n_cores=4):
@@ -187,3 +191,150 @@ def test_msi_config_validation():
     from dataclasses import replace
     with pytest.raises(ValueError):
         replace(CMPConfig.baseline(4), coherence="moesi")
+
+
+def stale_recall_ack(start, delay):
+    """Core 29 dirties X, then evicts it by loading four lines of its L1
+    set.  Core 1 loads X at ``start``, core 2 stores to X ``delay``
+    cycles later.  Core 29's WBData answers the forward for core 1; its
+    stale RecallAck(present=False) lands while the home forwards core 2's
+    GetM to core 1.  Returns (core 1's value, X's final value)."""
+    m = Machine(CMPConfig.baseline(32))
+    x = 0x100000                                  # home 0
+    stride = m.config.l1.n_sets * m.config.line_bytes
+
+    def owner():
+        l1 = m.mem.l1(29)
+        yield from l1.store(x, 42)
+        for k in range(1, 5):
+            yield from l1.load(x + k * stride)
+
+    def reader():
+        yield start
+        return (yield from m.mem.l1(1).load(x))
+
+    def writer():
+        yield start + delay
+        yield from m.mem.l1(2).store(x, 7)
+
+    procs = run(m, owner(), reader(), writer())
+    return procs[1].result, m.mem.backing.read(x)
+
+
+@pytest.mark.parametrize("delay", [1, 5, 20])
+@pytest.mark.parametrize("start", range(2425, 2434))
+def test_stale_recall_ack_never_answers_a_later_forward(start, delay):
+    assert stale_recall_ack(start, delay) == (42, 7)
+
+
+def busy_line_eviction(start):
+    """A one-line L2: core 3's store to X waits 16 cycles for the L2 hit
+    after invalidating every L1 copy, and core 0's load of Y (same home,
+    same set) lands a fill in that window.  Returns the L1 states of X."""
+    cfg = replace(CMPConfig.baseline(4), l2=CacheConfig(64, 1, 64, 16))
+    m = Machine(cfg)
+    x = 0x10000
+    y = x + 256
+
+    def after(delay, core, op, *args):
+        yield delay
+        return (yield from getattr(m.mem.l1(core), op)(*args))
+
+    def twice():
+        yield from m.mem.l1(1).load(x)
+        yield 2000
+        yield from m.mem.l1(1).load(x)
+
+    run(m, twice(), after(600, 2, "load", x), after(1200, 3, "store", x, 5),
+        after(start, 0, "load", y))
+    return [m.mem.l1(core).state_of(x) for core in range(4)]
+
+
+@pytest.mark.parametrize("start", [800, 807, 815])
+def test_l2_never_evicts_a_line_in_flight(start):
+    states = busy_line_eviction(start)
+    writers = [s for s in states if s in ("E", "M")]
+    assert not writers or states.count(None) == 3, states
+    assert states == [None, "S", None, "S"]
+
+
+def evicted_owner_asked_again(again, op, start):
+    """Core 0 takes X in E, evicts it with four loads of its L1 set, then
+    (``again``) loads or stores X once more; core 5 loads or stores X at
+    ``start``.  With the home on tile 15 the forward for core 5 reaches
+    core 0 after its eviction, while its own new request is in flight."""
+    m = Machine(CMPConfig.baseline(16))
+    x = 0x100000 + 15 * m.config.line_bytes        # home 15
+    stride = m.config.l1.n_sets * m.config.line_bytes
+
+    def owner():
+        l1 = m.mem.l1(0)
+        yield from l1.load(x)
+        for k in range(1, 5):
+            yield from l1.load(x + k * stride)
+        if again == "load":
+            yield from l1.load(x)
+        elif again == "store":
+            yield from l1.store(x, 3)
+
+    def other():
+        yield start
+        if op == "load":
+            yield from m.mem.l1(5).load(x)
+        else:
+            yield from m.mem.l1(5).store(x, 5)
+
+    run(m, owner(), other())
+    return ([m.mem.l1(core).state_of(x) for core in (0, 5)],
+            m.mem.backing.read(x))
+
+
+@pytest.mark.parametrize("again, op, start, states, value", [
+    # core 0's EvictClean answers the forward; core 5 is served from L2
+    (None, "load", 2288, [None, "E"], 0),
+    # the forward reaches core 0 while its own GetS or GetM is in flight
+    ("load", "load", 2291, ["S", "S"], 0),
+    ("load", "store", 2291, ["S", "S"], 5),
+    ("store", "load", 2291, ["M", None], 3),
+    ("store", "store", 2291, ["M", None], 3),
+])
+def test_forward_reaches_an_evicted_owner(again, op, start, states, value):
+    assert evicted_owner_asked_again(again, op, start) == (states, value)
+
+
+def protocol_workout(seed):
+    """Seeded random loads and increments by several cores on lines that
+    share one L1 set, so evictions cross with forwards and invalidations.
+    Returns each line's final value and its number of increments."""
+    rng = random.Random(seed)
+    m = Machine(CMPConfig.baseline(4 if seed % 2 else 8))
+    stride = m.config.l1.n_sets * m.config.line_bytes
+    lines = [0x40000 + i * stride for i in range(5 + seed % 4)]
+    longest = 10 + 60 * (seed % 3)
+    plans = [[(rng.choice(lines), rng.random() < 0.6, rng.randrange(longest))
+              for _ in range(80)] for _ in range(m.config.n_cores)]
+
+    def program(core, plan):
+        l1 = m.mem.l1(core)
+        for addr, is_load, delay in plan:
+            yield delay
+            if is_load:
+                yield from l1.load(addr)
+            else:
+                yield from l1.rmw(addr, lambda v: (v or 0) + 1)
+
+    run(m, *(program(core, plan) for core, plan in enumerate(plans)))
+    increments = {line: sum(addr == line and not is_load
+                            for plan in plans for addr, is_load, _ in plan)
+                  for line in lines}
+    return {line: m.mem.backing.read(line) or 0 for line in lines}, increments
+
+
+#: seeds whose workouts together take every row the first 300 take
+WORKOUT_SEEDS = [3, 6, 19, 63, 70, 100, 195]
+
+
+@pytest.mark.parametrize("seed", WORKOUT_SEEDS)
+def test_random_workout_counts_every_increment(seed):
+    values, increments = protocol_workout(seed)
+    assert values == increments
