@@ -1,7 +1,7 @@
 """Wiring of the full memory system: mesh + per-tile L1 and L2/directory.
 
 :class:`MemorySystem` is the substrate object workloads and lock algorithms
-talk to.  Each tile registers a single dispatcher with the mesh that routes
+talk to.  Each tile registers a route table with the mesh, which delivers
 each protocol message to the tile's L1 or L2/directory slice, whichever
 :data:`repro.mem.protocol.KINDS` names as its receiver.
 
@@ -19,7 +19,6 @@ from repro.mem.address import AddressSpace
 from repro.mem.backing import BackingStore
 from repro.mem.l1 import L1Cache
 from repro.mem.l2dir import L2DirectorySlice
-from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
 from repro.sim.kernel import Simulator
@@ -47,23 +46,10 @@ class MemorySystem:
             for i in range(config.n_cores)
         ]
         for tile in range(config.n_cores):
-            dispatch, route = self._make_dispatcher(tile)
-            self.mesh.register(tile, dispatch, route=route)
-
-    def _make_dispatcher(self, tile: int):
-        # kind -> receiving controller, resolved once per tile: routing a
-        # message is then a single dict probe.  The table is also handed
-        # to the mesh so the compiled core can deliver without this frame.
-        receive = {P.L1: self.l1s[tile].receive, P.DIR: self.l2s[tile].receive}
-        route = {kind: receive[who] for kind, (who, _, _) in P.KINDS.items()}
-
-        def dispatch(msg: Message) -> None:
-            handler = route.get(msg.kind)
-            if handler is None:
-                raise RuntimeError(f"tile {tile}: unroutable message {msg!r}")
-            handler(msg)
-
-        return dispatch, route
+            receive = {P.L1: self.l1s[tile].receive,
+                       P.DIR: self.l2s[tile].receive}
+            self.mesh.register(tile, {kind: receive[who] for kind, (who, _, _)
+                                      in P.KINDS.items()})
 
     # ------------------------------------------------------------------ #
     # initialization helpers

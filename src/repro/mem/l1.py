@@ -5,7 +5,10 @@ The L1 exposes coroutine methods (``load`` / ``store`` / ``rmw`` /
 and a :meth:`receive` callback the mesh invokes for incoming protocol
 messages (data grants, invalidations, forwards).  Misses, messages and
 evictions take the L1 rows of :data:`repro.mem.protocol.ROWS`; hits read
-the table's hit rows through two state maps.
+the table's hit rows through two state maps.  On a compiled simulator the
+kernel's ``L1Core`` runs the rows instead (same rows, same events): the
+mesh delivers to it, a miss starts in it, and it keeps the outstanding
+miss, while hits, the wait for the fill and ``spin_until`` stay here.
 
 Linearization rule (see DESIGN.md): a memory operation's *value effect* is
 applied to the global backing store at the instant the L1 gains sufficient
@@ -34,7 +37,7 @@ from repro.mem import cache
 from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Signal, Simulator
+from repro.sim.kernel import Signal, Simulator, compiled_impl
 from repro.sim.stats import CounterSet
 
 __all__ = ["L1Cache"]
@@ -91,6 +94,15 @@ class L1Cache:
         self._c_misses = counters.bind("l1.misses")
         self._c_rmw = counters.bind("l1.rmw")
         self._c_spin_cycles = counters.bind("l1.spin_cycles")
+        self._core = None
+        impl = compiled_impl()
+        if impl is not None and type(sim) is impl.Simulator:
+            self._core = impl.L1Core(
+                self, mesh._core, self.tags, self._fill_sig, self._watches,
+                counters, core_id, config.n_cores, config.line_bytes,
+                config.noc)
+            self.receive = self._core
+            self._start = self._core.start
 
     # ------------------------------------------------------------------ #
     # public coroutine API (driven by the core with `yield from`)
@@ -192,15 +204,7 @@ class L1Cache:
               value: Optional[int], fn: Optional[Callable[[int], int]]):
         # miss (or S->M upgrade): one transaction through the directory
         self._c_misses.value += 1
-        if self._pending is not None:
-            raise RuntimeError(
-                f"L1 {self.core_id}: second outstanding miss on "
-                f"line {line:#x} (cores are in-order)"
-            )
-        state = self.tags.lookup(line) or "I"
-        event = P.STORE if want_m else P.LOAD
-        row = self._rows.get((state, event)) or self._no_row(line, state, event)
-        row(self, line, None)
+        self._start(line, want_m)
         yield self._fill_sig  # fires once the reply has installed the line
         # the line was installed synchronously at delivery time, so
         # same-cycle recalls/invalidations observe a consistent tag state
@@ -217,6 +221,18 @@ class L1Cache:
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
+    def _start(self, line: int, want_m: bool) -> None:
+        """Take the miss's row: the Load or Store of the line's state."""
+        if self._pending is not None:
+            raise RuntimeError(
+                f"L1 {self.core_id}: second outstanding miss on "
+                f"line {line:#x} (cores are in-order)"
+            )
+        state = self.tags.lookup(line) or "I"
+        event = P.STORE if want_m else P.LOAD
+        row = self._rows.get((state, event)) or self._no_row(line, state, event)
+        row(self, line, None)
+
     def receive(self, msg: Message) -> None:
         """An L1-bound message, delivered by the mesh."""
         line = msg.payload["line"]
@@ -232,7 +248,7 @@ class L1Cache:
               msg: Optional[Message]) -> None:
         """Take the transition of ``event`` with ``line`` in ``state``.
 
-        ``receive`` and ``_miss`` repeat these two lines instead of
+        ``receive`` and ``_start`` repeat these two lines instead of
         calling here: they run once per message and miss, and the saved
         call is measurable.
         """

@@ -13,7 +13,10 @@ Each line's entry is a state machine driven by the directory rows of
 timers advance it, so a transaction costs no process and no signal.  Every
 wait the transaction makes is one scheduled event: the first step after a
 request is accepted and each resume after an awaited message are
-zero-delay events, and each latency is a timer of that length.
+zero-delay events, and each latency is a timer of that length.  On a
+compiled simulator the kernel's ``DirCore`` runs the same rows and keeps
+the entries, pushing the same events; :meth:`L2DirectorySlice.entry`
+reads an entry on either kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.mem import cache
 from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, compiled_impl
 from repro.sim.stats import CounterSet
 
 __all__ = ["L2DirectorySlice", "DIR_LATENCY"]
@@ -82,12 +85,32 @@ class L2DirectorySlice:
         self._c_accesses = counters.bind("l2.accesses")
         self._c_data_accesses = counters.bind("l2.data_accesses")
         self._c_forwards = counters.bind("l2.forwards")
+        self._core = None
+        impl = compiled_impl()
+        if impl is not None and type(sim) is impl.Simulator:
+            self._core = impl.DirCore(
+                self, mesh._core, self.tags, counters, tile_id,
+                config.l2.latency, config.memory_latency, DIR_LATENCY,
+                config.coherence == "mesi", config.noc)
+            self.receive = self._core
+            self.evictable = self._core.evictable
 
     def evictable(self, line: int) -> bool:
         """May the L2 drop ``line``?  Not while an L1 holds it or a
         transaction (or a queued request) uses it: only in state I."""
         entry = self._dir.get(line)
         return entry is None or entry.state == "I"
+
+    def entry(self, line: int) -> Optional[DirEntry]:
+        """The directory entry of ``line`` (a copy on a compiled
+        simulator), or None."""
+        if self._core is None:
+            return self._dir.get(line)
+        fields = self._core.entry(line)
+        if fields is None:
+            return None
+        owner, sharers, state, queue, *rest = fields
+        return DirEntry(owner, set(sharers), state, deque(queue), *rest)
 
     # ------------------------------------------------------------------ #
     # dispatch

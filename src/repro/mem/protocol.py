@@ -6,7 +6,10 @@ state)``.  The L1 (:mod:`repro.mem.l1`) and the home directory
 (:mod:`repro.mem.l2dir`) dispatch every event through it, and an event
 with no row for the line's state raises.  An action is one statement of
 its controller's ``ACTIONS``; ``name:Arg`` passes it ``Arg``, a bare name
-the row's next state.  :func:`bind` compiles each row into one function.
+the row's next state.  :func:`program` lists every row's actions as
+``(name, argument)`` pairs: :func:`bind` compiles each row from it into
+one Python function, and the compiled kernel, which is handed the same
+program when this module is imported, runs each action as one opcode.
 ``docs/protocol.md`` explains the states and events, and its
 "Transitions" section is :func:`render`'s output.
 """
@@ -25,7 +28,7 @@ __all__ = [
     "GETS", "GETM", "UPGRADE", "DATA", "DATA_E", "DATA_M", "GRANT_M", "INV",
     "INV_ACK", "FWD_GETS", "FWD_GETM", "DATA_C2C", "UNBLOCK", "RECALL_DATA",
     "RECALL_ACK", "WB_DATA", "EVICT_CLEAN", "KINDS", "make_msg", "ROWS",
-    "TABLE", "bind", "hits", "render",
+    "TABLE", "program", "bind", "hits", "render",
 ]
 
 GETS, GETM, UPGRADE = "GetS", "GetM", "Upgrade"
@@ -54,11 +57,6 @@ KINDS = {
 }
 _CATEGORY = {kind: cat for kind, (_, cat, _) in KINDS.items()}
 _CARRIES_DATA = {kind for kind, (_, _, data) in KINDS.items() if data}
-
-# the C mesh core reads the tables from here: the extension never imports
-# this package itself, which keeps its own import free of cycles
-if compiled_impl() is not None:
-    compiled_impl().configure_protocol(_CATEGORY, _CARRIES_DATA)
 
 
 def make_msg(noc: NoCConfig, src: int, dst: int, kind: str, line: int,
@@ -170,6 +168,15 @@ def _expand() -> Dict[Tuple[str, str, str], Tuple[Tuple[str, ...], str]]:
 TABLE = _expand()
 
 
+def program() -> Dict[Tuple[str, str, str], Tuple[tuple, str]]:
+    """Every row but the hits: ``(controller, state, event) -> (((action,
+    argument), ...), next state)``, a bare action's argument being the
+    next state."""
+    return {key: (tuple((name, arg or nxt) for name, _, arg in
+                        (action.partition(":") for action in actions)), nxt)
+            for key, (actions, nxt) in TABLE.items() if actions != ("hit",)}
+
+
 @functools.lru_cache(maxsize=None)
 def bind(cls: type, role: str, checked: bool = False) -> Dict[tuple, Any]:
     """Compile ``role``'s rows for the controller class ``cls``.
@@ -178,29 +185,28 @@ def bind(cls: type, role: str, checked: bool = False) -> Dict[tuple, Any]:
     function runs its actions' statements in order (``cls.ACTIONS[name]``
     with ``{arg}`` the action's argument), then ``cls.enter(state, next)``,
     which records the next state where the actions did not.  A checked
-    row reports itself to ``self._observer`` just before that.  Hit rows
-    are left to :func:`hits`.
+    row calls ``self._observer(self, line, msg, (state, event, next))``
+    just before that.  Each function is compiled under the file name
+    ``<controller state on event>``, which profiles and tracebacks show.
+    Hit rows are left to :func:`hits`.
     """
     namespace = vars(sys.modules[cls.__module__])
-    compiled: Dict[str, Any] = {}      # rows with the same code share it
     rows = {}
-    for (who, state, event), (actions, nxt) in TABLE.items():
-        if who != role or actions == ("hit",):
+    for (who, state, event), (pairs, nxt) in program().items():
+        if who != role:
             continue
         body = []
-        for action in actions:
-            name, _, arg = action.partition(":")
-            body += cls.ACTIONS[name].format(arg=repr(arg or nxt)).split("\n")
+        for name, arg in pairs:
+            body += cls.ACTIONS[name].format(arg=repr(arg)).split("\n")
         if checked:
-            body.append(f"self._observer({cls.ROW_ARGS}, "
+            body.append(f"self._observer(self, line, msg, "
                         f"{(state, event, nxt)!r})")
         body += cls.enter(state, nxt)
         source = "\n    ".join([f"def row({cls.ROW_ARGS}):", *body, "pass"])
-        if source not in compiled:
-            scope: Dict[str, Any] = {}
-            exec(source, namespace, scope)
-            compiled[source] = scope["row"]
-        rows[state, event] = compiled[source]
+        scope: Dict[str, Any] = {}
+        exec(compile(source, f"<{role} {state} on {event}>", "exec"),
+             namespace, scope)
+        rows[state, event] = scope["row"]
     return rows
 
 
@@ -222,3 +228,11 @@ def render() -> str:
                 out.append(f"| {states} | {events} | {acts} | {nxt} |")
         out.append("")
     return "\n".join(out)
+
+
+# the compiled kernel runs the same rows: it is handed them here, once,
+# and never imports this package itself, which keeps its import free of
+# cycles
+if compiled_impl() is not None:
+    compiled_impl().configure_protocol(_CATEGORY, _CARRIES_DATA, program(),
+                                       L1_TRANSIENT, DIR_IDLE)

@@ -19,7 +19,7 @@ NoC traffic.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.mem import protocol as _protocol
 from repro.noc.messages import Message
@@ -30,6 +30,10 @@ from repro.sim.kernel import Simulator, compiled_impl
 __all__ = ["Link", "Mesh"]
 
 LOCAL_DELIVERY_LATENCY = 1
+
+#: a tile's message handler, or its kind -> handler route table
+Handler = Union[Callable[[Message], None],
+                Dict[str, Callable[[Message], None]]]
 
 
 class Link:
@@ -65,7 +69,7 @@ class Mesh:
         self.sim = sim
         self.config = config
         self.traffic = TrafficMeter()
-        self._handlers: Dict[int, Callable[[Message], None]] = {}
+        self._handlers: Dict[int, Handler] = {}
         # XY routes are static (the link set never changes once built),
         # so each (src, dst) pair is walked exactly once
         self._route_cache: Dict[Tuple[int, int], List[Link]] = {}
@@ -107,20 +111,17 @@ class Mesh:
     # ------------------------------------------------------------------ #
     # endpoint registration
     # ------------------------------------------------------------------ #
-    def register(self, tile: int, handler: Callable[[Message], None],
-                 route: Optional[Dict[str, Callable[[Message], None]]] = None,
-                 ) -> None:
+    def register(self, tile: int, handler: Handler) -> None:
         """Attach the message handler for ``tile`` (one per tile).
 
-        ``route`` optionally exposes the handler's internal kind->callback
-        table; the compiled mesh core uses it to deliver straight to the
-        per-kind callback, skipping the Python dispatcher frame.
+        ``handler`` is a callable, or a dict routing each message kind to
+        its own callable; a kind it lacks raises at ``send``.
         """
         if tile in self._handlers:
             raise ValueError(f"tile {tile} already has a handler")
         self._handlers[tile] = handler
         if self._core is not None:
-            self._core.register(tile, handler if route is None else route)
+            self._core.register(tile, handler)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -148,6 +149,12 @@ class Mesh:
         """
         sim = self.sim
         handler = self._handlers[msg.dst]
+        if type(handler) is dict:
+            routed = handler.get(msg.kind)
+            if routed is None:
+                raise RuntimeError(
+                    f"tile {msg.dst}: unroutable message {msg!r}")
+            handler = routed
         now = sim.now
         if sim.tracer is not None:
             sim.tracer.record(now, "noc", f"tile{msg.src}",

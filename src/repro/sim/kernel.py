@@ -35,15 +35,20 @@ both implementations.
 Component accelerators
 ----------------------
 
-The extension also carries C twins of two components: the cache tag
-array (``repro.mem.cache.tag_array``) and the mesh core, whose
-``send_proto`` builds each protocol message as a C ``Message`` record
-(``repro.noc.topology.Mesh``).  A component picks its twin once, when it
-is built, from the type of the simulator it is built on, using
-:func:`compiled_impl`.  Nothing rebinds when the backend switches, so a
-pure simulator's machine is all Python even when the extension is built,
-and ``repro.mem.cache.TagArray``, ``repro.noc.messages.Message`` and
-``repro.mem.protocol.make_msg`` always name the Python implementations.
+The extension also carries C twins of the memory system's components:
+the cache tag array (``repro.mem.cache.tag_array``); the mesh core,
+whose ``send_proto`` builds each protocol message as a C ``Message``
+record (``repro.noc.topology.Mesh``); and ``L1Core`` and ``DirCore``,
+which interpret the MESI transition table (``repro.mem.protocol.ROWS``,
+handed over once by ``configure_protocol``) for each ``L1Cache`` and
+``L2DirectorySlice``, so protocol messages, directory steps and their
+timers run as kernel events without entering Python.  A component picks
+its twin once, when it is built, from the type of the simulator it is
+built on, using :func:`compiled_impl`.  Nothing rebinds when the backend
+switches, so a pure simulator's machine is all Python even when the
+extension is built, and ``repro.mem.cache.TagArray``,
+``repro.noc.messages.Message`` and ``repro.mem.protocol.make_msg`` always
+name the Python implementations.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ def Process(sim, gen, name: Optional[str] = None):
 def compiled_impl():
     """The compiled backend module, or ``None`` when not built (or hidden).
 
-    Components use it to reach their C twins (``MeshCore``, ``TagArray``)
-    and take them only when their simulator is the compiled ``Simulator``.
+    Components use it to reach their C twins (``MeshCore``, ``TagArray``,
+    ``L1Core``, ``DirCore``) and take them only when their simulator is
+    the compiled ``Simulator``.
     """
     return _ckernel

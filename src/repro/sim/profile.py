@@ -71,9 +71,11 @@ def _component_of(fn: Callable) -> str:
 
     Bound methods are attributed to their owner: model components
     (L1Cache, L2DirectorySlice, ...) by class name, kernel Processes by
-    their role (see :func:`_role_of`).  Plain functions and closures
-    (e.g. the per-tile mesh dispatcher) fall back to their qualified
-    name with the ``<locals>`` noise removed.
+    their role (see :func:`_role_of`).  The compiled kernel's protocol
+    cores name their controller as ``__self__`` too, so both kernels
+    attribute protocol work to L1Cache and L2DirectorySlice.  Plain
+    functions and closures fall back to their qualified name with the
+    ``<locals>`` noise removed.
     """
     owner = getattr(fn, "__self__", None)
     if owner is None:

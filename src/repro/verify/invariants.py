@@ -114,12 +114,13 @@ class InvariantSanitizer:
     # protocol conformance
     # ------------------------------------------------------------------ #
     def _check_transitions(self) -> None:
-        """Give every controller the checked build of its rows, which
-        reports each transition to this sanitizer, and hit maps that
-        record each hit.
+        """Have every controller report each transition to this
+        sanitizer, and give the L1s hit maps that record each hit.
 
-        These shadow the class's tables on the instance, so an
-        unsanitized run pays nothing per message or access.
+        A Python controller gets the checked build of its rows; a
+        compiled one (its ``_core``) calls its ``observer``.  These
+        shadow the class's tables on the instance, so an unsanitized run
+        pays nothing per message or access.
         """
         mem = self.machine.mem
         load_hit = _RecordedHits(P.LOAD, self.transitions_seen)
@@ -129,8 +130,12 @@ class InvariantSanitizer:
                 (mem.l2s, P.DIR, self._dir_transition)):
             rows = P.bind(type(controllers[0]), role, checked=True)
             for ctrl in controllers:
-                ctrl._rows, ctrl._observer = rows, observer
-                self._patched += [(ctrl, "_rows"), (ctrl, "_observer")]
+                if ctrl._core is not None:
+                    ctrl._core.observer = observer
+                    self._patched.append((ctrl._core, "observer"))
+                else:
+                    ctrl._rows, ctrl._observer = rows, observer
+                    self._patched += [(ctrl, "_rows"), (ctrl, "_observer")]
         for l1 in mem.l1s:
             l1._load_hit, l1._store_hit = load_hit, store_hit
             self._patched += [(l1, "_load_hit"), (l1, "_store_hit")]
@@ -147,10 +152,11 @@ class InvariantSanitizer:
         if state in P.L1_TRANSIENT and nxt not in P.L1_TRANSIENT:
             self._check_single_writer(line)
 
-    def _dir_transition(self, home, line: int, entry, msg, row) -> None:
+    def _dir_transition(self, home, line: int, msg, row) -> None:
         state, event, nxt = row
         self.transitions_seen.add((P.DIR, state, event))
         if nxt in P.DIR_IDLE:
+            entry = home.entry(line)
             held = ("EM" if entry.owner is not None
                     else "S" if entry.sharers else "I")
             if held != nxt:

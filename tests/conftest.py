@@ -13,12 +13,15 @@ test.  Tests that *deliberately* race (the detector's own fixtures) get a
 clean Machine via the ``racy_machine_factory`` fixture.
 
 Tests that need a sanitizer unconditionally can request the
-``sanitized_machine_factory`` fixture instead.
+``sanitized_machine_factory`` fixture instead.  A test that takes the
+``backend`` fixture runs once per kernel backend, ``pure`` and
+``compiled`` (skipped where the extension is not built).
 """
 
 import pytest
 
 from repro.machine import Machine
+from repro.sim import kernel
 from repro.verify.invariants import InvariantSanitizer
 from repro.verify.races import RaceDetector
 
@@ -68,6 +71,17 @@ def _global_race_detect(request, monkeypatch):
 
     monkeypatch.setattr(Machine, "__init__", detecting_init)
     yield
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    """Build this test's simulators on each kernel backend in turn."""
+    if request.param not in kernel.available_backends():
+        pytest.skip("compiled backend not built on this machine")
+    prev = kernel.active_backend()
+    kernel.set_backend(request.param)
+    yield request.param
+    kernel.set_backend(prev)
 
 
 @pytest.fixture

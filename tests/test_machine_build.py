@@ -38,16 +38,6 @@ from repro.workloads.microbench import SingleCounter
 OBJECTS_PER_CORE = 25
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request):
-    if request.param not in kernel.available_backends():
-        pytest.skip("compiled backend not built on this machine")
-    prev = kernel.active_backend()
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(prev)
-
-
 def _new(types, before):
     """Live instances of ``types`` that are not in ``before``."""
     seen = {id(obj) for obj in before}
@@ -130,20 +120,56 @@ def test_a_message_no_row_expects_raises(backend, kind):
         machine.sim.run()
 
 
+@pytest.mark.parametrize("dst, kind, error", [
+    (0, P.WB_DATA, "home 0: no transition for 0x10000 in I on "
+                   "WBData from a non-owner"),
+    (2, P.GRANT_M, "L1 2: no transition for 0x10000 in I on GrantM"),
+    (2, P.DATA, "L1 2: no transition for 0x10000 in I on Data"),
+], ids=["WBData-from-a-non-owner", "GrantM-unasked", "Data-unasked"])
+def test_a_message_the_rows_refuse_raises(backend, dst, kind, error):
+    """An owner's notice from a non-owner, or a reply no miss awaits,
+    raises the same error on both kernels."""
+    machine = Machine(CMPConfig.baseline(4))
+    machine.mem.mesh.send_proto(machine.config.noc, 1, dst, kind, 0x10000)
+    with pytest.raises(RuntimeError, match=f"^{error}$"):
+        machine.sim.run()
+
+
+def test_a_python_message_takes_the_same_rows(backend):
+    """A ``repro.noc.messages.Message`` sent through the public
+    ``Mesh.send`` reaches the same rows as one ``send_proto`` builds: a
+    stale absent-ack is dropped, a grant no miss awaits raises."""
+    machine = Machine(CMPConfig.baseline(4))
+    noc, mesh = machine.config.noc, machine.mem.mesh
+    mesh.send(P.make_msg(noc, 1, 0, P.RECALL_ACK, 0x10000,
+                         {"present": False}))
+    machine.sim.run()
+    assert machine.mem.l2s[0].entry(0x10000).state == "I"
+    mesh.send(P.make_msg(noc, 1, 2, P.GRANT_M, 0x10000))
+    with pytest.raises(RuntimeError, match="^L1 2: no transition for "
+                       "0x10000 in I on GrantM$"):
+        machine.sim.run()
+
+
 def test_machine_takes_its_accelerators_from_its_simulator(backend):
     """A pure simulator's machine is all Python, even after the compiled
-    kernel was imported first; a compiled one uses the C tag arrays and
-    mesh core."""
+    kernel was imported first; a compiled one uses the C tag arrays, mesh
+    core and protocol controllers, and the mesh delivers to them."""
     machine = Machine(CMPConfig.baseline(16))
     mem = machine.mem
     tag_types = {type(cache.tags) for cache in [*mem.l1s, *mem.l2s]}
+    core_types = {type(ctrl._core) for ctrl in [*mem.l1s, *mem.l2s]}
     if backend == "compiled":
         impl = kernel.compiled_impl()
         assert tag_types == {impl.TagArray}
         assert isinstance(mem.mesh._core, impl.MeshCore)
+        assert core_types == {impl.L1Core, impl.DirCore}
+        assert mem.l1s[3].receive.__self__ is mem.l1s[3]
+        assert mem.l2s[3].receive.__self__ is mem.l2s[3]
         return
     assert tag_types == {TagArray}
     assert mem.mesh._core is None
+    assert core_types == {type(None)}
     sent = []
     send = mem.mesh.send
     mem.mesh.send = lambda msg: sent.append(type(msg)) or send(msg)

@@ -4,10 +4,11 @@ is the table.
 Under the sanitizer every L1 and directory transition must be a row of
 ``repro.mem.protocol.ROWS`` and leave the line in that row's next state,
 and every L1 fill must leave the line with one E/M holder or only
-sharers.  The scenarios here run under that check: the protocol-path and
-coherence suites with every case of their race repros, evicted-owner
-races and seeded workouts, and the determinism goldens.  The rows they
-never take are pinned below, each with the reason.
+sharers.  The scenarios here run under that check on each kernel (the
+compiled one interprets the rows in C): the protocol-path and coherence
+suites with every case of their race repros, evicted-owner races and
+seeded workouts, and the determinism goldens.  The rows they never take
+are pinned below, each with the reason.
 """
 
 import inspect
@@ -17,8 +18,11 @@ import pytest
 
 from repro.machine import Machine
 from repro.mem import protocol as P
+from repro.mem.l1 import L1Cache
+from repro.mem.l2dir import L2DirectorySlice
 from repro.runner.engine import execute_spec
 from repro.runner.spec import RunSpec
+from repro.sim import kernel
 from repro.sim.config import CMPConfig
 from repro.verify.invariants import InvariantSanitizer
 from tests import test_mem_coherence, test_mem_protocol_paths
@@ -77,7 +81,7 @@ def _scenarios(module):
             and not inspect.signature(fn).parameters]
 
 
-def test_every_row_is_taken_or_pinned(sanitizers):
+def test_every_row_is_taken_or_pinned(backend, sanitizers):
     for module in (test_mem_protocol_paths, test_mem_coherence):
         for scenario in _scenarios(module):
             scenario()
@@ -109,3 +113,39 @@ def test_the_document_is_the_table():
     assert doc == fresh, (
         "docs/protocol.md differs from the transition table; between its "
         f"markers it should read:\n\n{fresh}\n")
+
+
+def test_the_compiled_kernel_runs_the_table():
+    """The program the C interpreter was configured with, decoded from
+    its opcodes, is every row but the hits, action for action; a bare
+    action's argument is the row's next state."""
+    impl = kernel.compiled_impl()
+    if impl is None:
+        pytest.skip("compiled backend not built on this machine")
+    expected = {}
+    for key, (actions, nxt) in P.TABLE.items():
+        if actions == ("hit",):
+            continue
+        pairs = []
+        for action in actions:
+            name, _, arg = action.partition(":")
+            pairs.append((name, arg or nxt))
+        expected[key] = (tuple(pairs), nxt)
+    assert impl.protocol_program() == expected
+
+
+@pytest.mark.parametrize("cls, role", [(L1Cache, P.L1),
+                                       (L2DirectorySlice, P.DIR)],
+                         ids=[P.L1, P.DIR])
+@pytest.mark.parametrize("checked", [False, True],
+                         ids=["plain", "checked"])
+def test_each_row_function_names_its_row(cls, role, checked):
+    """Profiles and tracebacks tell the rows apart: each row's function
+    has its own code location, whose file names the controller, state
+    and event."""
+    rows = P.bind(cls, role, checked=checked)
+    where = {(row.__code__.co_filename, row.__code__.co_firstlineno,
+              row.__code__.co_name): key for key, row in rows.items()}
+    assert len(where) == len(rows)
+    for (filename, _, _), (state, event) in where.items():
+        assert filename == f"<{role} {state} on {event}>"

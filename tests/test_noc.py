@@ -121,6 +121,37 @@ def test_unregistered_destination_raises():
         mesh.send(ctrl(0, 1))
 
 
+def test_route_table_delivers_each_kind_to_its_handler(backend):
+    """A tile registered with a kind -> handler dict gets each message at
+    the handler of its kind, on either mesh."""
+    sim = Simulator()
+    cfg = CMPConfig.baseline(4)
+    mesh = Mesh(sim, cfg)
+    got = []
+    mesh.register(0, lambda m: None)
+    mesh.register(1, {"A": lambda m: got.append(("A", m.kind, sim.now)),
+                      "B": lambda m: got.append(("B", m.kind, sim.now))})
+    mesh.send(ctrl(0, 1, kind="B"))
+    mesh.send(ctrl(1, 1, kind="A"))
+    sim.run()
+    one_hop = cfg.noc.router_latency + 1
+    assert got == [("A", "A", 1), ("B", "B", one_hop)]
+
+
+def test_unroutable_kind_raises_at_send(backend):
+    """A kind the route table lacks raises the same error on both meshes,
+    before anything is queued or counted."""
+    sim = Simulator()
+    mesh = Mesh(sim, CMPConfig.baseline(4))
+    mesh.register(0, lambda m: None)
+    mesh.register(1, {"A": lambda m: None})
+    with pytest.raises(RuntimeError, match=r"^tile 1: unroutable message "
+                       r"Message\(GetS 0->1 8B request\)$"):
+        mesh.send(ctrl(0, 1))
+    assert sim.pending_events == 0
+    assert mesh.traffic.total_messages == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 31), st.integers(0, 31), st.integers(1, 300))
 def test_route_and_delivery_properties(src, dst, size):

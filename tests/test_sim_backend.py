@@ -2,10 +2,11 @@
 
 The compiled backend (``repro.sim._ckernel``) must be bit-identical to
 the pure kernel: a determinism-golden subset is replayed here under each
-backend explicitly (skip-if-uncompiled), and the CLI knobs that expose
-the selection (``--backend``, ``--list-backends``) are exercised
-end-to-end, including the exit-2 one-liner when ``--backend=compiled``
-is requested on a machine without the extension.
+backend explicitly (skip-if-uncompiled), every Table III workload runs
+on both with the same result, event count and protocol rows, and the
+CLI knobs that expose the selection (``--backend``, ``--list-backends``)
+are exercised end-to-end, including the exit-2 one-liner when
+``--backend=compiled`` is requested on a machine without the extension.
 """
 
 import json
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.machine import Machine
 from repro.runner.engine import execute_spec
 from repro.runner.fingerprint import result_fingerprint
 from repro.runner.spec import RunSpec
@@ -45,16 +47,6 @@ def _subset_id(entry):
             f"{spec['hc_kind']}-{faults}")
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request):
-    if request.param not in kernel.available_backends():
-        pytest.skip("compiled backend not built on this machine")
-    prev = kernel.active_backend()
-    kernel.set_backend(request.param)
-    yield request.param
-    kernel.set_backend(prev)
-
-
 @pytest.mark.parametrize("entry", SUBSET, ids=_subset_id)
 def test_golden_fingerprints_identical_across_backends(backend, entry):
     """Each backend reproduces the seed goldens byte-for-byte."""
@@ -65,6 +57,48 @@ def test_golden_fingerprints_identical_across_backends(backend, entry):
     assert run.result.makespan == entry["makespan"]
     assert result_fingerprint(run.result) == entry["result_fingerprint"], \
         f"{backend} backend diverged from the golden fingerprint"
+
+
+TABLE3 = [(bench, lock)
+          for bench in ("sctr", "mctr", "dbll", "prco", "actr", "raytr",
+                        "ocean", "qsort")
+          for lock in ("glock", "mcs")]
+
+
+def _sanitized_run(backend_name, spec, monkeypatch):
+    """Result fingerprint, events executed and protocol rows taken."""
+    machines = []
+    init = Machine.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        machines.append(self)
+
+    prev = kernel.active_backend()
+    with monkeypatch.context() as patch:
+        patch.setattr(Machine, "__init__", recording)
+        kernel.set_backend(backend_name)
+        try:
+            run = execute_spec(spec)
+        finally:
+            kernel.set_backend(prev)
+    (machine,) = machines
+    return (result_fingerprint(run.result), machine.sim.events_executed,
+            machine.sanitizer.transitions_seen)
+
+
+@pytest.mark.parametrize("bench, lock", TABLE3,
+                         ids=[f"{b}-{lk}" for b, lk in TABLE3])
+def test_table3_runs_identically_on_both_kernels(bench, lock, monkeypatch):
+    """The compiled kernel interprets the protocol rows the pure one
+    compiles: same result, same events, same rows taken."""
+    if "compiled" not in kernel.available_backends():
+        pytest.skip("compiled backend not built on this machine")
+    spec = RunSpec.benchmark(bench, lock, n_cores=16, scale=0.05,
+                             sanitize=True)
+    pure = _sanitized_run("pure", spec, monkeypatch)
+    assert pure[2], "the sanitizer saw no transition"
+    assert _sanitized_run("compiled", spec, monkeypatch) == pure
 
 
 # --------------------------------------------------------------------- #
