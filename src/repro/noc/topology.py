@@ -92,7 +92,6 @@ class Mesh:
                 traffic._per_cat, traffic._byte_hops,
                 traffic._link_traversals)
             self.send = self._core.send
-            self.send_proto = self._core.send_proto
             traffic._core = self._core
 
     @cached_property
@@ -189,11 +188,11 @@ class Mesh:
 
     def send_proto(self, noc, src: int, dst: int, kind: str, line: int,
                    extra: object = None) -> int:
-        """Build a protocol message and inject it (fused make_msg + send).
+        """Build a protocol message and inject it (make_msg + send).
 
-        The memory controllers issue every transaction hop through this
-        entry point; the compiled mesh core folds both steps into one C
-        call (the instance attribute is rebound in ``__init__``).
+        The pure kernel's memory controllers issue every transaction hop
+        through this entry point; on a compiled simulator the C
+        controllers build and inject their messages themselves.
         """
         return self.send(_protocol.make_msg(noc, src, dst, kind, line, extra))
 

@@ -6,14 +6,14 @@ the remaining specs execute:
 
 - :class:`InlineBackend` — in this process, one spec at a time (the
   classic ``jobs=1`` path);
-- :class:`ProcessPoolBackend` — the runner's one pool loop, fanned over
-  a :class:`~concurrent.futures.ProcessPoolExecutor` kept across
+- :class:`ProcessPoolBackend` — the runner's one dispatch loop, fanned
+  over a :class:`~concurrent.futures.ProcessPoolExecutor` kept across
   batches, with per-run deadlines and the :class:`PoolPolicy` for
   worker deaths (the classic ``jobs>1`` path, and every supervised
   campaign);
-- :class:`~repro.runner.remote.RemoteBackend` — socket-protocol workers
-  started with ``repro-sim worker``, sharing the digest-keyed result
-  cache (lives in :mod:`repro.runner.remote`).
+- :class:`~repro.runner.remote.RemoteBackend` — the same loop over
+  socket-protocol workers started with ``repro-sim worker``, sharing
+  the digest-keyed result cache (lives in :mod:`repro.runner.remote`).
 
 Every backend reports to one :class:`RetryLedger`, created once per
 batch, so caching, retries, the campaign supervisor's outcome taxonomy
@@ -322,6 +322,7 @@ class RetryLedger:
 
     def abandon(self, exc: BaseException) -> None:
         """Give up on every spec not yet settled (no executor left)."""
+        self.queue.clear()
         for digest in self.todo:
             if digest not in self.settled:
                 self._exhaust(digest, exc)
@@ -389,7 +390,7 @@ class InlineBackend(ExecutionBackend):
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan specs over a process pool: the runner's one pool loop.
+    """Fan specs over a process pool: the runner's one dispatch loop.
 
     The pool lives as long as the backend: the first batch that needs it
     forks ``jobs`` workers and every later batch reuses them.  It is
@@ -424,6 +425,9 @@ class ProcessPoolBackend(ExecutionBackend):
       pool is killed; the innocent in-flight specs are requeued
       uncharged.
 
+    :class:`~repro.runner.remote.RemoteBackend` runs under this loop
+    too: it overrides :meth:`_open`, :meth:`_width` and :meth:`_stalled`.
+
     Args:
         jobs: worker processes; ``None`` uses the engine's ``jobs``.
     """
@@ -442,6 +446,23 @@ class ProcessPoolBackend(ExecutionBackend):
             kill_workers(self._pool)
             self._pool = None
 
+    def _open(self, max_workers: int):
+        """The batch's executor (``submit(fn, spec)`` -> ``Future``); a
+        worker that died idle is replaced first, unblamed."""
+        if self._pool is not None and _lost_a_worker(self._pool):
+            self.close()
+        if self._pool is None:
+            self._pool = new_pool(max_workers)
+        return self._pool
+
+    def _width(self, policy: PoolPolicy, max_workers: int) -> int:
+        """How many specs may be in flight now."""
+        return min(policy.window, max_workers)
+
+    def _stalled(self) -> Optional[BaseException]:
+        """Nothing admitted or in flight: wait, or say why it stays so."""
+        return None
+
     def execute(self, ledger, *, tick=None):
         engine, policy, todo = ledger.engine, ledger.policy, ledger.todo
         max_workers = self.jobs or engine.jobs
@@ -451,15 +472,12 @@ class ProcessPoolBackend(ExecutionBackend):
         alone = None                              # the future running alone
         inflight: Dict[object, str] = {}          # future -> digest
         deadlines: Dict[object, Optional[float]] = {}
-        if self._pool is not None and _lost_a_worker(self._pool):
-            self.close()  # a worker died idle: replace it, unblamed
-        if self._pool is None:
-            self._pool = new_pool(max_workers)
+        executor = self._open(max_workers)
 
         def submit(source: Deque[str]):
             digest = source.popleft()
             try:
-                future = self._pool.submit(engine._execute_fn, todo[digest])
+                future = executor.submit(engine._execute_fn, todo[digest])
             except BrokenProcessPool:
                 source.appendleft(digest)  # it never reached a worker
                 raise
@@ -474,12 +492,13 @@ class ProcessPoolBackend(ExecutionBackend):
 
         def restart(backoff: bool) -> None:
             """Kill the pool; rebuild it (after a backoff) if work remains."""
+            nonlocal executor
             self.close()
             if queue or solo:
                 if backoff:
                     policy.backoff()
                 policy.rebuilds += 1
-                self._pool = new_pool(max_workers)
+                executor = self._open(max_workers)
 
         def died(exc: BaseException) -> None:
             """The pool is dead: land what finished, blame what was lost."""
@@ -530,13 +549,16 @@ class ProcessPoolBackend(ExecutionBackend):
                         if not inflight:
                             alone = submit(solo)
                     else:
-                        window = min(policy.window, max_workers)
+                        window = self._width(policy, max_workers)
                         while queue and len(inflight) < window:
                             submit(queue)
                 except BrokenProcessPool as exc:
                     died(exc)  # a worker died between waits
                     continue
-                if not inflight:
+                if not inflight:  # nothing admitted: wait, or give up
+                    dead = self._stalled()
+                    if dead is not None:
+                        ledger.abandon(dead)
                     continue
                 wait_for = _POLL_INTERVAL
                 if timeout is not None:

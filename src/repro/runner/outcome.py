@@ -58,6 +58,8 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, BrokenExecutor):
         return CRASH
     names = {cls.__name__ for cls in type(exc).__mro__}
+    if "RemoteRunError" in names and exc.kind in FAILURE_STATUSES:
+        return exc.kind  # classified on the worker
     if "SimDeadlockError" in names:
         return DEADLOCK
     if "InvariantViolation" in names:

@@ -8,26 +8,20 @@ fresh results back — so any number of workers pointed at one shared
 cache directory (NFS, a shared volume) collectively behave like one
 warm cache.
 
-The :class:`RemoteBackend` is the matching
-:class:`~repro.runner.backends.ExecutionBackend`: it fans a batch of
-specs over a fixed set of worker addresses (one dispatch thread per
-worker pulling from the batch's shared queue) and reports every landing
-and failed attempt to the batch's
-:class:`~repro.runner.backends.RetryLedger`, like every backend.
-
-**Leases and heartbeats** make the backend self-healing.  Every
-dispatched spec holds a *lease*: the worker must produce a frame — a
-periodic ``{"heartbeat": true}`` while it simulates, or the final
-result — within ``lease_timeout`` seconds, or the backend reclaims the
-spec and re-dispatches it to a healthy worker.  Heartbeats distinguish
-*slow-but-alive* (lease keeps extending; only the engine's overall
-``timeout`` budget can expire it) from *dead or hung* (silence; lease
-breaks).  A worker that breaks leases or drops connections trips a
-per-worker **circuit breaker**: it is quarantined for an exponentially
-growing backoff, then probed half-open with a cheap no-op (``ping``)
-before readmission; ``max_strikes`` consecutive failures retire it for
-the rest of the batch.  The batch fails only when a spec exhausts its
-retry budget or every worker has been retired.
+The :class:`RemoteBackend` runs a batch under the process-pool
+backend's dispatch loop, as that loop's executor: it leases each spec
+to a worker its breaker admits, so deadlines, retries and every ledger
+hook behave as for the pool.  A leased worker must produce a frame — a
+``{"heartbeat": true}`` while it simulates, or the result — within
+``lease_timeout`` seconds, or the lease breaks and the spec is charged
+and re-dispatched: heartbeats tell *slow-but-alive* (only the engine's
+``timeout`` expires it) from *dead or hung*.  A worker that breaks a
+lease or drops its connection trips a per-worker **circuit breaker**:
+it is quarantined for an exponentially growing backoff, then probed
+half-open with a ``ping`` before readmission; ``max_strikes``
+consecutive failures retire it for the rest of the batch.  The batch
+fails only when a spec exhausts its retry budget or every worker has
+been retired.
 
 Specs travel as their JSON-safe ``to_dict()`` form (version-checked by
 ``RunSpec.from_dict``); results travel as pickled
@@ -43,6 +37,7 @@ never a public interface.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import pickle
@@ -51,10 +46,11 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.backends import ExecutionBackend
+from repro.runner.backends import _POLL_INTERVAL, ProcessPoolBackend
 from repro.runner.cache import CacheCorruption, ResultCache
 from repro.runner.spec import RunSpec
 
@@ -70,9 +66,6 @@ PROTOCOL_VERSION = 2
 _HEADER = struct.Struct(">I")
 #: refuse frames beyond this size (corrupt header / wrong peer)
 _MAX_FRAME = 256 * 1024 * 1024
-
-#: how often idle dispatch threads re-check for reclaimed work (seconds)
-_POLL = 0.05
 
 
 class RemoteRunError(RuntimeError):
@@ -330,8 +323,7 @@ class WorkerServer:
                 if beating:
                     try:
                         send_frame(sock, {"heartbeat": True})
-                        with self._stats_lock:
-                            self.stats["heartbeats"] += 1
+                        self._count("heartbeats")
                     except (ConnectionError, OSError):
                         beating = False  # client gone; finish for the cache
             return box.get("reply", {"ok": False, "kind": "error",
@@ -341,14 +333,16 @@ class WorkerServer:
                 self._inflight -= 1
                 self._idle.notify_all()
 
-    def _serve_run(self, request: Dict) -> Dict:
+    def _count(self, key: str) -> None:
         with self._stats_lock:
-            self.stats["requests"] += 1
+            self.stats[key] += 1
+
+    def _serve_run(self, request: Dict) -> Dict:
+        self._count("requests")
         try:
             spec = RunSpec.from_dict(request["spec"])
         except Exception as exc:
-            with self._stats_lock:
-                self.stats["errors"] += 1
+            self._count("errors")
             return {"ok": False, "kind": "error",
                     "error": f"undecodable spec: {exc!r}"}
         digest = spec.digest()
@@ -358,19 +352,16 @@ class WorkerServer:
             except CacheCorruption:
                 run = None
             if run is not None:
-                with self._stats_lock:
-                    self.stats["cache_hits"] += 1
+                self._count("cache_hits")
                 return {"ok": True, "run": run, "cached": True}
         try:
             run = self.execute_fn(spec)
         except Exception as exc:
             from repro.runner.outcome import classify_failure
-            with self._stats_lock:
-                self.stats["errors"] += 1
+            self._count("errors")
             return {"ok": False, "kind": classify_failure(exc),
                     "error": repr(exc)}
-        with self._stats_lock:
-            self.stats["executed"] += 1
+        self._count("executed")
         if self.cache is not None:
             self.cache.store(digest, run, spec.to_dict())
         return {"ok": True, "run": run, "cached": False}
@@ -382,10 +373,9 @@ class WorkerServer:
 class WorkerClient:
     """One persistent connection to a worker.
 
-    Every request carries a socket timeout: ``default_timeout`` for the
-    control ops (ping/stats/shutdown), and a per-frame lease window for
-    ``run`` (see :meth:`run_spec`) — a worker can hang without ever
-    hanging the coordinator.
+    Every request is bounded: control ops (ping/stats/shutdown) by
+    ``default_timeout``, a ``run`` by its lease (see :meth:`run_spec`)
+    — a worker can hang without ever hanging the coordinator.
     """
 
     def __init__(self, address: str, connect_timeout: float = 10.0,
@@ -399,27 +389,10 @@ class WorkerClient:
 
     def request(self, payload: Dict,
                 timeout: Optional[float] = None) -> Dict:
-        """Send one frame, return the first non-heartbeat reply.
-
-        ``timeout`` bounds each frame (defaults to ``default_timeout``);
-        a connection failure mid-request raises :class:`WorkerDied`
-        rather than a bare ``EOFError``/``ConnectionError``/unpickling
-        crash.
-        """
-        if timeout is None:
-            timeout = self.default_timeout
-        self._sock.settimeout(timeout)
-        try:
-            self._send(payload)
-            while True:
-                reply = self._recv()
-                if not (isinstance(reply, dict) and reply.get("heartbeat")):
-                    return reply
-        finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:  # pragma: no cover - socket already dead
-                pass
+        """Send one frame, return the first non-heartbeat reply within
+        ``timeout`` seconds (default ``default_timeout``)."""
+        return self._exchange(payload, self.default_timeout
+                              if timeout is None else timeout)
 
     def ping(self, timeout: float = 10.0) -> Dict:
         return self.request({"op": "ping"}, timeout=timeout)
@@ -438,9 +411,9 @@ class WorkerClient:
                  on_heartbeat: Optional[Callable[[], None]] = None) -> object:
         """Execute ``spec`` remotely under a heartbeat-extended lease.
 
-        - ``timeout`` is the *overall* wall-clock budget for the run
-          (the engine's per-spec budget); exceeding it raises
-          ``TimeoutError`` even while heartbeats keep arriving.
+        - ``timeout`` is the *overall* wall-clock budget for the run;
+          exceeding it raises ``TimeoutError`` even while heartbeats
+          keep arriving.
         - ``lease_timeout`` bounds the silence between frames; a worker
           producing neither a heartbeat nor a result within it raises
           :class:`LeaseExpired` (hung or silently dead).
@@ -448,48 +421,42 @@ class WorkerClient:
           :class:`WorkerDied`; a spec failure *inside* a healthy worker
           raises :class:`RemoteRunError`.
         """
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        self._sock.settimeout(lease_timeout if lease_timeout is not None
-                              else timeout)
-        try:
-            self._send({"op": "run", "spec": spec.to_dict()})
-            while True:
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"exceeded {timeout}s budget on {self.address}")
-                    if lease_timeout is not None:
-                        self._sock.settimeout(min(lease_timeout, remaining))
-                    else:
-                        self._sock.settimeout(remaining)
-                try:
-                    reply = self._recv()
-                except socket.timeout:
-                    if (deadline is not None
-                            and time.monotonic() >= deadline):
-                        raise TimeoutError(
-                            f"exceeded {timeout}s budget on "
-                            f"{self.address}") from None
-                    raise LeaseExpired(
-                        self.address,
-                        lease_timeout if lease_timeout is not None
-                        else timeout or 0.0) from None
-                if isinstance(reply, dict) and reply.get("heartbeat"):
-                    if on_heartbeat is not None:
-                        on_heartbeat()
-                    continue
-                break
-        finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:  # pragma: no cover - socket already dead
-                pass
+        reply = self._exchange({"op": "run", "spec": spec.to_dict()},
+                               timeout, lease_timeout, on_heartbeat)
         if not reply.get("ok"):
             raise RemoteRunError(reply.get("kind", "error"),
                                  reply.get("error", "unknown remote error"))
         return reply["run"]
+
+    def _exchange(self, payload: Dict, timeout: Optional[float],
+                  lease_timeout: Optional[float] = None,
+                  on_heartbeat: Optional[Callable[[], None]] = None) -> Dict:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._sock.settimeout(lease_timeout or timeout)
+        try:
+            self._send(payload)
+            while True:
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise TimeoutError(
+                            f"exceeded {timeout}s budget on {self.address}")
+                    self._sock.settimeout(min(left, lease_timeout or left))
+                try:
+                    reply = self._recv()
+                except socket.timeout:
+                    if lease_timeout is not None and (
+                            deadline is None or time.monotonic() < deadline):
+                        raise LeaseExpired(self.address,
+                                           lease_timeout) from None
+                    continue  # the budget ran out: raised above
+                if not (isinstance(reply, dict) and reply.get("heartbeat")):
+                    return reply
+                if on_heartbeat is not None:
+                    on_heartbeat()
+        finally:
+            with contextlib.suppress(OSError):  # the socket may be closed
+                self._sock.settimeout(None)
 
     # low-level frame IO with WorkerDied wrapping ---------------------- #
     def _send(self, payload: Dict) -> None:
@@ -517,10 +484,9 @@ class WorkerClient:
         return reply
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked reader
+        self._sock.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -537,49 +503,57 @@ class WorkerHealth:
 
     address: str
     state: str = HEALTHY
-    consecutive_failures: int = 0
+    completed: int = 0          # specs this worker landed
     lease_breaks: int = 0       # leases that expired on this worker
     deaths: int = 0             # connection failures / dead mid-run
-    completed: int = 0          # specs this worker landed
     heartbeats: int = 0         # heartbeat frames received
-    probes: int = 0             # half-open readmission probes sent
     quarantines: int = 0        # times the breaker tripped
-    backoff_until: float = 0.0  # monotonic instant quarantine ends
+    probes: int = 0             # half-open readmission probes sent
+    consecutive_failures: int = 0
     current: Optional[str] = None   # digest currently leased, if any
+    backoff_until: float = 0.0  # monotonic instant quarantine ends
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "address": self.address,
-            "state": self.state,
-            "completed": self.completed,
-            "lease_breaks": self.lease_breaks,
-            "deaths": self.deaths,
-            "heartbeats": self.heartbeats,
-            "quarantines": self.quarantines,
-            "probes": self.probes,
-            "consecutive_failures": self.consecutive_failures,
-            "current": self.current,
-        }
+        """Every field but the breaker's clock."""
+        snap = asdict(self)
+        del snap["backoff_until"]
+        return snap
 
 
-class RemoteBackend(ExecutionBackend):
+class _Lease(Future):
+    """A spec on one worker.  It stays pending while the worker runs it,
+    so the loop's deadline can cancel it, which frees the worker."""
+
+    def __init__(self, backend: "RemoteBackend", health: WorkerHealth):
+        super().__init__()
+        self.backend, self.health = backend, health
+
+    def cancel(self) -> bool:
+        with self.backend._changed:
+            if not super().cancel():
+                return False
+            self.backend._release(self.health, drop=True)
+        return True
+
+
+class RemoteBackend(ProcessPoolBackend):
     """Execute specs on ``repro-sim worker`` processes over sockets.
 
+    The executor of the pool loop: :meth:`submit` leases a spec to an
+    idle worker the breaker admits, so one spec runs per live worker
+    whatever the engine's ``jobs``, and faster workers take more.
+
     Args:
-        workers: worker addresses (``host:port``).  One dispatch thread
-            per address pulls specs from a shared queue, so faster
-            workers naturally take more of the batch.
+        workers: worker addresses (``host:port``).
         connect_timeout: seconds to wait for a worker to accept.
         lease_timeout: max silence (no heartbeat, no result) before a
-            dispatched spec's lease breaks and it is reclaimed for
-            re-dispatch.  Keep this a few multiples of the workers'
-            ``heartbeat_interval``.
+            leased spec is reclaimed; keep it a few multiples of the
+            workers' ``heartbeat_interval``.
         breaker_base / breaker_cap: quarantine backoff after the n-th
             consecutive failure is ``min(cap, base * 2**(n-1))``
             seconds, followed by a half-open ``ping`` probe.
-        max_strikes: consecutive failures (lease breaks, deaths,
-            unreachable connects, failed probes) after which a worker
-            is retired from the batch for good.
+        max_strikes: consecutive failures (lease breaks, deaths, failed
+            connects and probes) that retire a worker for the batch.
     """
 
     name = "remote"
@@ -590,6 +564,7 @@ class RemoteBackend(ExecutionBackend):
                  breaker_base: float = 0.25,
                  breaker_cap: float = 8.0,
                  max_strikes: int = 4) -> None:
+        super().__init__()
         addresses = [w.strip() for w in workers if w and w.strip()]
         if not addresses:
             raise ValueError("remote backend needs at least one worker "
@@ -608,187 +583,147 @@ class RemoteBackend(ExecutionBackend):
         self.max_strikes = max_strikes
         self.health: Dict[str, WorkerHealth] = {
             address: WorkerHealth(address) for address in addresses}
+        self._changed = threading.Condition()  # guards the state below
+        #: address -> open connection (None while one is being opened)
+        self._clients: Dict[str, Optional[WorkerClient]] = {}
+        self._leases: Dict[str, _Lease] = {}   # address -> its running spec
 
     def health_snapshot(self) -> List[Dict[str, object]]:
         """Per-worker breaker state + telemetry (service ``/status``)."""
-        return [self.health[address].snapshot()
-                for address in self.addresses]
+        with self._changed:
+            return [self.health[address].snapshot()
+                    for address in self.addresses]
 
-    # ------------------------------------------------------------------ #
-    def execute(self, ledger, *, tick=None):
-        todo, queue = ledger.todo, ledger.queue
-        lock = threading.Lock()
-        abort: List[BaseException] = []  # raised by a ledger hook
-        # the lease, not this overall budget, catches dead workers; the
-        # budget only expires genuinely over-long runs
-        timeout = ledger.engine.timeout
-        io_timeout = timeout + 1.0 if timeout is not None else None
+    def close(self) -> None:
+        """Free every worker and close its connection."""
+        with self._changed:
+            for lease in list(self._leases.values()):
+                lease.cancel()
+            for address in [a for a, c in self._clients.items() if c]:
+                self._clients.pop(address).close()
 
-        def finished() -> bool:
-            # caller holds `lock`
-            return bool(abort) or len(ledger.settled) == len(todo)
+    def _open(self, max_workers: int) -> "RemoteBackend":
+        """Fresh connections each batch; a retired worker is probed again."""
+        self.close()  # a worker that died idle then costs no spec
+        with self._changed:
+            for health in self.health.values():
+                if health.state == RETIRED:
+                    health.state, health.backoff_until = QUARANTINED, 0.0
+        return self
 
-        def report(method, digest: str, value) -> None:
-            """Land or charge under the lock.  A hook that raises (the
-            default ``fail`` does) stops the batch; the calling thread
-            re-raises it once the dispatch threads are done."""
-            with lock:
-                try:
-                    method(digest, value)
-                except BaseException as exc:
-                    abort.append(exc)
+    def _width(self, policy, max_workers: int) -> int:
+        """One spec per connected worker; connects those admitted."""
+        with self._changed:
+            for health in self.health.values():
+                probe = (health.state == QUARANTINED
+                         and time.monotonic() >= health.backoff_until)
+                if probe or (health.state == HEALTHY
+                             and health.address not in self._clients):
+                    self._clients[health.address] = None  # connecting
+                    if probe:
+                        health.state = HALF_OPEN
+                        health.probes += 1
+                    threading.Thread(target=self._connect, daemon=True,
+                                     args=(health, probe)).start()
+            return sum(client is not None
+                       for client in self._clients.values())
 
-        def trip(health: WorkerHealth, why: str) -> None:
-            """One strike: quarantine with exponential backoff, or retire."""
-            health.consecutive_failures += 1
-            health.current = None
-            if health.consecutive_failures >= self.max_strikes:
-                health.state = RETIRED
-                log.warning("[remote] retiring worker %s after %d "
-                            "consecutive failures (%s)", health.address,
-                            health.consecutive_failures, why)
-                return
-            health.quarantines += 1
-            backoff = min(self.breaker_cap,
-                          self.breaker_base
-                          * (2 ** (health.consecutive_failures - 1)))
-            health.backoff_until = time.monotonic() + backoff
-            health.state = QUARANTINED
-            log.warning("[remote] quarantining worker %s for %.2gs (%s; "
-                        "strike %d/%d)", health.address, backoff, why,
-                        health.consecutive_failures, self.max_strikes)
+    def _stalled(self) -> Optional[BaseException]:
+        """All workers retired ends the batch; else wait to connect one."""
+        with self._changed:
+            if all(h.state == RETIRED for h in self.health.values()):
+                return ConnectionError(
+                    f"no live workers left (of {len(self.addresses)})")
+            if not any(self._clients.values()):
+                self._changed.wait(_POLL_INTERVAL)  # for a connection
+        return None
 
-        def probe(health: WorkerHealth) -> bool:
-            """Half-open readmission: a cheap no-op must succeed."""
-            health.state = HALF_OPEN
-            health.probes += 1
-            try:
-                client = WorkerClient(health.address,
-                                      connect_timeout=self.connect_timeout)
-                try:
-                    client.ping(timeout=min(5.0, self.lease_timeout))
-                finally:
-                    client.close()
-            except (WorkerDied, OSError):
-                return False
-            health.state = HEALTHY
-            return True
-
-        def dispatch(address: str) -> None:
+    def submit(self, fn, spec: RunSpec) -> Future:
+        """Lease ``spec`` to an idle connected worker (``fn`` goes
+        unused: a worker runs its own ``execute_spec``)."""
+        with self._changed:
+            address, client = next((a, c) for a, c in self._clients.items()
+                                   if c and a not in self._leases)
             health = self.health[address]
-            client: Optional[WorkerClient] = None
+            lease = self._leases[address] = _Lease(self, health)
+            health.current = spec.digest()
+        threading.Thread(target=self._run, daemon=True,
+                         args=(lease, client, spec)).start()
+        return lease
 
-            def drop_client() -> None:
-                nonlocal client
-                if client is not None:
-                    client.close()
-                    client = None
+    def _run(self, lease: _Lease, client: WorkerClient,
+             spec: RunSpec) -> None:
+        """Run one lease to its end; settle its worker with the breaker."""
+        health = lease.health
 
-            def on_heartbeat() -> None:
-                health.heartbeats += 1
+        def on_heartbeat() -> None:
+            health.heartbeats += 1
 
-            try:
-                while True:
-                    with lock:
-                        if finished() or health.state == RETIRED:
-                            return
-                    if health.state in (QUARANTINED, HALF_OPEN):
-                        if time.monotonic() < health.backoff_until:
-                            time.sleep(_POLL)
-                            continue
-                        if not probe(health):
-                            trip(health, "half-open probe failed")
-                        continue
-                    with lock:
-                        if finished():
-                            return
-                        if not queue:
-                            in_flight = len(todo) - len(ledger.settled)
-                        else:
-                            in_flight = 0
-                            digest = queue.popleft()
-                            health.current = digest
-                    if in_flight:
-                        # unresolved specs are leased elsewhere; linger in
-                        # case a lease breaks and the spec is reclaimed
-                        time.sleep(_POLL)
-                        continue
-                    if client is None:
-                        try:
-                            client = WorkerClient(
-                                address, connect_timeout=self.connect_timeout)
-                        except OSError as exc:
-                            # unreachable: hand the spec back uncharged
-                            # (the worker never saw it) and strike
-                            with lock:
-                                queue.appendleft(digest)
-                            trip(health, f"unreachable: {exc}")
-                            continue
-                    try:
-                        run = client.run_spec(
-                            todo[digest], timeout=io_timeout,
-                            lease_timeout=self.lease_timeout,
-                            on_heartbeat=on_heartbeat)
-                    except RemoteRunError as exc:
-                        # the worker answered: it is healthy, the spec is
-                        # not
-                        health.current = None
-                        health.consecutive_failures = 0
-                        report(ledger.charge, digest, exc)
-                    except LeaseExpired as exc:
-                        health.lease_breaks += 1
-                        log.warning("[remote] lease broken by %s on %s: %s",
-                                    address, digest[:12], exc)
-                        drop_client()
-                        report(ledger.charge, digest, exc)
-                        trip(health, "lease expired")
-                    except WorkerDied as exc:
-                        health.deaths += 1
-                        log.warning("[remote] lost worker %s: %s",
-                                    address, exc)
-                        drop_client()
-                        report(ledger.charge, digest, exc)
-                        trip(health, "connection died")
-                    except TimeoutError as exc:
-                        # the spec blew its overall budget; the worker may
-                        # still be grinding on it, so abandon this
-                        # connection (no strike: heartbeats kept arriving)
-                        health.current = None
-                        drop_client()
-                        report(ledger.charge, digest, exc)
-                    except (OSError, pickle.PickleError, EOFError) as exc:
-                        health.deaths += 1
-                        log.warning("[remote] worker %s I/O error: %r",
-                                    address, exc)
-                        drop_client()
-                        report(ledger.charge, digest, exc)
-                        trip(health, f"I/O error: {exc!r}")
-                    else:
-                        health.current = None
-                        health.completed += 1
-                        health.consecutive_failures = 0
-                        report(ledger.land, digest, run)
-            finally:
-                drop_client()
+        try:
+            result = client.run_spec(spec, lease_timeout=self.lease_timeout,
+                                     on_heartbeat=on_heartbeat)
+        except Exception as exc:
+            result = exc
+        # a RemoteRunError means the worker answered: the spec is sick
+        failed = (isinstance(result, Exception)
+                  and not isinstance(result, RemoteRunError))
+        with self._changed:
+            if lease.cancelled():
+                return  # over budget: the loop charged it, freed the worker
+            self._release(health, drop=failed)
+            if failed:
+                if isinstance(result, LeaseExpired):
+                    health.lease_breaks += 1
+                else:
+                    health.deaths += 1
+                self._trip(health, f"lost {spec.describe()}: {result!r}")
+            else:
+                health.consecutive_failures = 0
+            if isinstance(result, Exception):
+                lease.set_exception(result)
+            else:
+                health.completed += 1
+                lease.set_result(result)
 
-        threads = [threading.Thread(target=dispatch, args=(address,),
-                                    name=f"remote-{address}", daemon=True)
-                   for address in self.addresses]
-        for thread in threads:
-            thread.start()
-        while any(t.is_alive() for t in threads):
-            if tick is not None:
-                tick()
-            for thread in threads:
-                thread.join(timeout=0.1)
-        if tick is not None:
-            tick()
-        if abort:
-            raise abort[0]
-        owed = len(todo) - len(ledger.settled)
-        if owed:
-            # every worker was retired with work still owed
-            ledger.abandon(ConnectionError(
-                f"no live workers left (of {len(self.addresses)}) with "
-                f"{owed} specs still owed"))
-        return ledger.out
+    def _release(self, health: WorkerHealth, drop: bool) -> None:
+        """Free a leased worker (lock held); ``drop`` also disconnects."""
+        del self._leases[health.address]
+        health.current = None
+        if drop:
+            self._clients.pop(health.address).close()
+
+    def _connect(self, health: WorkerHealth, probe: bool) -> None:
+        """Connect a worker; a half-open one must answer a ping too."""
+        client = None
+        try:
+            client = WorkerClient(health.address,
+                                  connect_timeout=self.connect_timeout)
+            if probe:
+                client.ping(timeout=min(5.0, self.lease_timeout))
+        except OSError as exc:
+            if client is not None:
+                client.close()
+            client, why = None, f"{'probe' if probe else 'connect'}: {exc!r}"
+        with self._changed:
+            if client is None:
+                del self._clients[health.address]
+                self._trip(health, why)
+            else:
+                self._clients[health.address] = client
+                health.state = HEALTHY
+            self._changed.notify_all()
+
+    def _trip(self, health: WorkerHealth, why: str) -> None:
+        """One strike (caller holds the lock): quarantine, or retire."""
+        health.consecutive_failures += 1
+        strikes = health.consecutive_failures
+        if strikes >= self.max_strikes:
+            health.state = RETIRED
+        else:
+            health.state = QUARANTINED
+            health.quarantines += 1
+            health.backoff_until = time.monotonic() + min(
+                self.breaker_cap, self.breaker_base * 2 ** (strikes - 1))
+        log.warning("[remote] worker %s %s after strike %d/%d (%s)",
+                    health.address, health.state, strikes, self.max_strikes,
+                    why)

@@ -17,15 +17,15 @@
  *   - TagArray, the set-associative tag array of repro.mem.cache;
  *   - MeshCore: XY routing, link reservation and traffic accounting for
  *     repro.noc.topology.Mesh, delivering through each tile's kind ->
- *     receiver route table, with send_proto building each protocol
- *     Message record in C;
+ *     receiver route table;
  *   - an interpreter of the MESI transition table, repro.mem.protocol.ROWS,
  *     which configure_protocol installs once as opcodes: L1Core and
  *     DirCore run the rows of one L1Cache and one L2DirectorySlice, keep
  *     their per-line state (the outstanding miss; the directory entries
- *     and request queues), and take every message, directory step,
- *     resume and latency timer as a kernel event without a Python frame.
- *     Hits, the wait for a fill and spin-waits stay in Python.
+ *     and request queues), build each protocol Message record, and take
+ *     every message, directory step, resume and latency timer as a
+ *     kernel event without a Python frame.  Hits, the wait for a fill
+ *     and spin-waits stay in Python.
  *
  * A component picks its C twin when it is built, from the type of its
  * simulator; nothing rebinds when the backend switches.
@@ -1612,7 +1612,7 @@ static PyTypeObject Simulator_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Message: the protocol record MeshCore.send_proto builds             */
+/* Message: the protocol record the C controllers build               */
 /* ------------------------------------------------------------------ */
 
 /* Same fields, sizes and repr as repro.noc.messages.Message, which is
@@ -1726,7 +1726,7 @@ static PyTypeObject Message_Type = {
     .tp_name = "repro.sim._ckernel.Message",
     .tp_basicsize = sizeof(CMessage),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "A protocol NoC message built by MeshCore.send_proto.",
+    .tp_doc = "A protocol NoC message built by the C controllers.",
     .tp_dealloc = (destructor)cmessage_dealloc,
     .tp_traverse = (traverseproc)cmessage_traverse,
     .tp_clear = (inquiry)cmessage_clear,
@@ -1830,27 +1830,6 @@ msg_kind(PyObject *msg, PyObject **kind_out, long *src_out)
     }
     *kind_out = kind;
     return kind_index(kind);
-}
-
-/* the Python-facing send_proto's message: any extra, sizes from noc */
-static PyObject *
-ck_build_msg(PyObject *noc, long src, long dst, PyObject *kind,
-             PyObject *line, PyObject *extra)
-{
-    int k = kind_index(kind);
-    if (k < 0) {
-        PyErr_SetObject(PyExc_KeyError, kind);
-        return NULL;
-    }
-    PyObject *size_obj = PyObject_GetAttr(
-        noc, kind_data[k] ? str_data_bytes : str_control_bytes);
-    if (size_obj == NULL)
-        return NULL;
-    long size = PyLong_AsLong(size_obj);
-    Py_DECREF(size_obj);
-    if (size == -1 && PyErr_Occurred())
-        return NULL;
-    return (PyObject *)cmessage_new(src, dst, k, size, line, NULL, extra);
 }
 
 /* ------------------------------------------------------------------ */
@@ -2594,34 +2573,6 @@ cmesh_send_kind(CMeshCore *self, long src, long dst, int k, long size,
 }
 
 static PyObject *
-cmesh_send_proto(CMeshCore *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    /* send_proto(noc, src, dst, kind, line, extra=None): build the
-     * protocol message and inject it in one call -- the fused form of
-     * ``mesh.send(make_msg(...))`` */
-    if (nargs < 5 || nargs > 6) {
-        PyErr_Format(PyExc_TypeError,
-                     "send_proto expected 5 or 6 arguments, got %zd", nargs);
-        return NULL;
-    }
-    long src = PyLong_AsLong(args[1]);
-    long dst = PyLong_AsLong(args[2]);
-    if ((src == -1 || dst == -1) && PyErr_Occurred())
-        return NULL;
-    if (!PyUnicode_Check(args[3])) {
-        PyErr_SetString(PyExc_TypeError, "send_proto kind must be a str");
-        return NULL;
-    }
-    PyObject *extra = nargs == 6 ? args[5] : Py_None;
-    PyObject *msg = ck_build_msg(args[0], src, dst, args[3], args[4], extra);
-    if (msg == NULL)
-        return NULL;
-    PyObject *r = cmesh_send(self, msg);
-    Py_DECREF(msg);
-    return r;
-}
-
-static PyObject *
 cmesh_flush_traffic(CMeshCore *self, PyObject *Py_UNUSED(ignored))
 {
     /* fold the C-side traffic sums into the TrafficMeter BoundCounters */
@@ -2724,8 +2675,6 @@ static PyMethodDef cmesh_methods[] = {
      "Attach the message handler for a tile (one per tile)."},
     {"send", (PyCFunction)cmesh_send, METH_O,
      "Inject a message; returns the delivery cycle."},
-    {"send_proto", (PyCFunction)cmesh_send_proto, METH_FASTCALL,
-     "Build a protocol message and inject it (fused make_msg + send)."},
     {"carried_list", (PyCFunction)cmesh_carried_list, METH_NOARGS,
      "Bytes carried per link, indexed dir*(w*h) + y*w + x."},
     {"flush_traffic", (PyCFunction)cmesh_flush_traffic, METH_NOARGS,

@@ -37,12 +37,13 @@ Component accelerators
 
 The extension also carries C twins of the memory system's components:
 the cache tag array (``repro.mem.cache.tag_array``); the mesh core,
-whose ``send_proto`` builds each protocol message as a C ``Message``
-record (``repro.noc.topology.Mesh``); and ``L1Core`` and ``DirCore``,
-which interpret the MESI transition table (``repro.mem.protocol.ROWS``,
+which routes, reserves links and delivers every message
+(``repro.noc.topology.Mesh``); and ``L1Core`` and ``DirCore``, which
+interpret the MESI transition table (``repro.mem.protocol.ROWS``,
 handed over once by ``configure_protocol``) for each ``L1Cache`` and
-``L2DirectorySlice``, so protocol messages, directory steps and their
-timers run as kernel events without entering Python.  A component picks
+``L2DirectorySlice`` and build each protocol message as a C ``Message``
+record, so protocol messages, directory steps and their timers run as
+kernel events without entering Python.  A component picks
 its twin once, when it is built, from the type of the simulator it is
 built on, using :func:`compiled_impl`.  Nothing rebinds when the backend
 switches, so a pure simulator's machine is all Python even when the

@@ -4,12 +4,13 @@ leases, heartbeats, the circuit breaker, and graceful worker drain."""
 import pickle
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.runner import Engine, RunFailure, RunSpec
+from repro.runner import Engine, RunFailure, RunSpec, Supervisor
 from repro.runner.engine import execute_spec
 from repro.runner.cache import ResultCache
 from repro.runner.remote import (LeaseExpired, RemoteBackend, RemoteRunError,
@@ -314,3 +315,202 @@ def test_drain_finishes_inflight_spec_and_commits_to_cache(tmp_path):
     cached = ResultCache(cache_dir).load(SPEC.digest())
     assert cached is not None
     assert cached.result.makespan == results["run"].result.makespan
+
+
+# ---------------------------------------------------------------------- #
+# breaker across batches, failure classes, concurrency, abandonment
+# ---------------------------------------------------------------------- #
+def _free_port():
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
+
+
+def test_retired_worker_is_probed_again_in_the_next_batch(tmp_path):
+    """Retirement lasts one batch: once the address answers again, the
+    next batch on the same engine runs there."""
+    port = _free_port()
+    backend = RemoteBackend(["127.0.0.1:%d" % port], breaker_base=0.01)
+    engine = Engine(backend=backend)
+    with pytest.raises(RunFailure, match="no live workers"):
+        engine.run_specs([SPEC])
+    (health,) = backend.health_snapshot()
+    assert health["state"] == "retired"
+    server = WorkerServer(port=port, cache_dir=str(tmp_path / "wcache"))
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        (run,) = engine.run_specs([SPEC])
+        assert run.result.makespan > 0
+        (health,) = backend.health_snapshot()
+        assert health["state"] == "healthy"
+        assert health["completed"] == 1
+        assert health["probes"] >= 1
+    finally:
+        engine.close()
+        server.shutdown()
+
+
+@pytest.mark.parametrize("status", ["deadlock", "sanitizer"])
+def test_remote_failures_keep_their_failure_class(tmp_path, status):
+    def fail(spec):
+        if status == "deadlock":
+            from repro.sim.kernel import SimDeadlockError
+            raise SimDeadlockError("synthetic deadlock")
+        from repro.verify.invariants import InvariantViolation
+        raise InvariantViolation("synthetic violation")
+
+    server = WorkerServer(execute_fn=fail)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    engine = Engine(backend=RemoteBackend(["%s:%d" % server.address]))
+    try:
+        result = Supervisor(engine, fail_policy="collect",
+                            install_signal_handlers=False
+                            ).run_campaign([SPEC])
+        (outcome,) = result.outcomes
+        assert outcome.status == status
+        assert outcome.attempts == 1
+    finally:
+        engine.close()
+        server.shutdown()
+
+
+def test_remote_runs_one_spec_per_worker_whatever_jobs(tmp_path):
+    """Both specs must be in flight at once to pass the barrier."""
+    barrier = threading.Barrier(2, timeout=5)
+
+    def together(spec):
+        barrier.wait()
+        return execute_spec(spec)
+
+    servers = [WorkerServer(execute_fn=together) for _ in range(2)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    engine = Engine(jobs=1, backend=RemoteBackend(
+        ["%s:%d" % server.address for server in servers]))
+    try:
+        runs = engine.run_specs(SPECS[:2])
+        assert all(run.result.makespan > 0 for run in runs)
+        assert not barrier.broken
+    finally:
+        engine.close()
+        for server in servers:
+            server.shutdown()
+
+
+def test_collect_campaign_with_no_reachable_worker_fails_every_spec():
+    engine = Engine(backend=RemoteBackend(["127.0.0.1:%d" % _free_port()],
+                                          breaker_base=0.01))
+    result = Supervisor(engine, fail_policy="collect",
+                        install_signal_handlers=False).run_campaign(SPECS)
+    assert [o.status for o in result.outcomes] == ["error"] * len(SPECS)
+    for outcome in result.outcomes:
+        assert outcome.attempts == 0
+        assert "no live workers" in outcome.error
+    engine.close()
+
+
+def test_worker_lost_between_batches_costs_no_attempt(tmp_path):
+    """Each batch connects afresh: a worker that went away while idle
+    is struck at connect time and the batch runs on the survivor."""
+    servers = [WorkerServer(cache_dir=str(tmp_path / ("wcache%d" % i)))
+               for i in range(2)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    addresses = ["%s:%d" % server.address for server in servers]
+    backend = RemoteBackend(addresses, breaker_base=0.01)
+    engine = Engine(backend=backend, retries=0)
+    try:
+        engine.run_specs(SPECS[:2])
+        servers[0].shutdown()
+        runs = engine.run_specs(SPECS[2:])
+        assert runs[0].result.makespan > 0
+        assert engine.stats.retries == 0 and engine.stats.failures == 0
+        lost = backend.health_snapshot()[0]
+        assert lost["state"] != "healthy" and lost["deaths"] == 0
+    finally:
+        engine.close()
+        servers[1].shutdown()
+
+
+def test_spec_over_budget_costs_one_attempt_and_frees_its_worker():
+    """The budget runs from submission, as in the pool; the stuck spec
+    is charged once and nothing restarts on the other worker."""
+    release = threading.Event()
+
+    def slow_mctr(spec):
+        if spec.workload == "mctr":
+            release.wait(30)   # heartbeats keep its lease alive
+        return execute_spec(spec)
+
+    servers = [WorkerServer(execute_fn=slow_mctr, heartbeat_interval=0.1)
+               for _ in range(2)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    backend = RemoteBackend(["%s:%d" % server.address for server in servers])
+    engine = Engine(backend=backend, timeout=2.0)
+    try:
+        start = time.monotonic()
+        result = Supervisor(engine, fail_policy="collect",
+                            install_signal_handlers=False
+                            ).run_campaign(SPECS)
+        assert time.monotonic() - start < 15
+        assert [o.status for o in result.outcomes] == ["ok", "ok", "timeout"]
+        assert result.outcomes[2].attempts == 1
+        assert sum(s.stats["requests"] for s in servers) == len(SPECS)
+        for health in backend.health_snapshot():
+            assert health["state"] == "healthy"
+            assert health["current"] is None
+    finally:
+        release.set()
+        engine.close()
+        for server in servers:
+            server.shutdown()
+
+
+def test_leases_stay_consistent_under_thread_stress():
+    """More workers than cores, a tiny switch interval, and every lease
+    outcome at once (result, spec failure, budget cancel): each spec
+    lands once and every worker ends idle."""
+    seen = set()
+    seen_lock = threading.Lock()
+
+    def flaky(spec):
+        index = dict(spec.workload_params)["i"]
+        with seen_lock:
+            first = index not in seen
+            seen.add(index)
+        if first and index % 7 == 1:
+            raise RuntimeError("first attempt fails")
+        if first and index % 7 == 2:
+            time.sleep(2.5)      # past the budget: cancelled, retried
+        time.sleep(0.001 * (index % 3))
+        return "run-%d" % index
+
+    servers = [WorkerServer(execute_fn=flaky, heartbeat_interval=0.05)
+               for _ in range(4)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    specs = [RunSpec(workload="synth", workload_params={"i": i})
+             for i in range(28)]
+    backend = RemoteBackend(["%s:%d" % s.address for s in servers])
+    engine = Engine(backend=backend, timeout=1.0, retries=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = Supervisor(engine, fail_policy="collect",
+                            install_signal_handlers=False
+                            ).run_campaign(specs)
+    finally:
+        sys.setswitchinterval(interval)
+        engine.close()
+        for server in servers:
+            server.shutdown()
+    assert [o.run for o in result.outcomes] == [
+        "run-%d" % i for i in range(28)]
+    assert engine.stats.retries == 8 and engine.stats.failures == 0
+    health = backend.health_snapshot()
+    assert sum(h["completed"] for h in health) == 28
+    assert all(h["current"] is None and h["state"] == "healthy"
+               for h in health)
